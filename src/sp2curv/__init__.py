@@ -56,7 +56,6 @@ from .cartan import (
     CartanClassification,
     canonicalize,
     centralizer_in_m,
-    commutes,
     in_special_orbit,
     sample_cartan,
     special_orbit_distance,
@@ -99,7 +98,6 @@ __all__ = [
     "canonicalize",
     "centralizer_in_m",
     "classify_plane",
-    "commutes",
     "in_special_orbit",
     "is_commuting_pair",
     "measure_sigma",

@@ -32,7 +32,7 @@ one set of formulas serves both the single and the batched oracle.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -355,8 +355,3 @@ def bi_inner_trace_form(x: SpElement, y: SpElement) -> float:
 def elements_close(x: SpElement, y: SpElement, atol: float = 1e-12) -> bool:
     """Componentwise comparison helper used by the verification suites."""
     return bool(np.all(np.abs(x.data - y.data) <= atol))
-
-
-def stack_elements(elements: Iterable[SpElement]) -> np.ndarray:
-    """Stack elements into an (n, 10) array of raw coordinates."""
-    return np.array([e.data for e in elements])

@@ -27,9 +27,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import SpElement, _ad_h_arr, _bracket_arr
+from .curvature import is_commuting_pair
 
 __all__ = [
-    "commutes",
     "centralizer_in_m",
     "CanonicalizationError",
     "CartanClassification",
@@ -50,13 +50,6 @@ _RETRY_ANGLES = (0.0, 0.37, 0.71, 1.13, 1.57, 2.03)
 
 _RANK_TOL = 1e-8
 _RESIDUAL_TOL = 1e-7
-
-
-def commutes(x: SpElement, y: SpElement, rel_tol: float = 1e-9) -> bool:
-    """True when |[x, y]| <= rel_tol * |x| * |y|."""
-    br = _bracket_arr(x.data, y.data)
-    scale = math.sqrt(float(x.data @ x.data) * float(y.data @ y.data))
-    return float(np.sqrt(br @ br)) <= rel_tol * scale
 
 
 def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
@@ -521,7 +514,7 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
     """
     if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
         raise ValueError("canonical form is defined for planes inside m")
-    if not commutes(x, y):
+    if not is_commuting_pair(x, y):
         raise ValueError("the pair does not commute")
     raw, seed = _orthonormalize_with_mix(x.data, y.data)
     scale = max(1.0, float(np.abs(raw).max()))

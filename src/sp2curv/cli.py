@@ -30,10 +30,9 @@ from . import __version__
 from .algebra import SpElement
 from .cartan import CanonicalizationError, canonicalize
 from .curvature import TangentPlane, is_commuting_pair, numerator_jet
-from .metric import DeformedMetric, reference_deformation
+from .metric import reference_deformation
 from .experiments import (
     classify_plane,
-    measure_sigma,
     run_oracle_suite,
     verify_lemma1,
     verify_theorem1,
@@ -174,13 +173,6 @@ def _run_lemma1(cfg):
 
 
 def _run_theorem1(cfg):
-    # Reject up front any magnitude at which the deformed metric would
-    # not be positive definite for either sign.
-    sigma, _ = measure_sigma()
-    for mag in cfg.t_values:
-        if mag == 0.0:
-            continue
-        DeformedMetric(reference_deformation(), sigma * abs(mag))
     report = verify_theorem1(cfg.seed, cfg.samples, cfg.t_values,
                              pos_tol=cfg.tol if cfg.tol is not None else 0.0)
     results = {

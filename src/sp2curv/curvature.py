@@ -15,9 +15,11 @@ with every pairing taken in the metric <a,b> = <a, M_t b>_bi and
 
 The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
-Derivatives of C in t at t = 0 are computed by degree-4 truncated power
-series (jets): M_t^{-1} enters through its Neumann series, so every
-coefficient through t^4 is exact up to rounding, with no step-size error.
+The formula is written once and evaluated in two rings.  At a fixed t the
+values are (10,) arrays and M_t^{-1} is the exact block inverse.  At t = 0
+the values are degree-4 truncated power series (jets) in t: M_t^{-1} enters
+through its Neumann series, so every coefficient through t^4 is exact up to
+rounding, with no step-size error.
 For commuting pairs the second derivative collapses to the closed form
 C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 """
@@ -25,6 +27,7 @@ C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -174,48 +177,75 @@ class Jet:
         return f"Jet({self.c.tolist()!r})"
 
 
+# ---- the six-term formula, written once ----
+
+
+def _m_part(a: np.ndarray) -> np.ndarray:
+    """The m part of (..., 10) values: a copy with the h slot zeroed."""
+    out = a.copy()
+    out[..., 0] = 0.0
+    return out
+
+
+def _u(ring, a, ma, b, mb):
+    """U(a, b) = 1/2 M^{-1} ([a, M b] + [b, M a])_m, given ma = M a, mb = M b.
+
+    U(a, a) skips doubling [a, M a] and halving it again, which is exact.
+    """
+    if b is a:
+        return ring.solve(_m_part(ring.br(a, ma)))
+    return 0.5 * ring.solve(_m_part(ring.br(a, mb) + ring.br(b, ma)))
+
+
+def _six_terms(ring, x, y):
+    """C(X, Y, t) term by term as in the module docstring.
+
+    ``ring`` supplies the bracket ``br``, ``apply`` (M), ``solve`` (M^{-1})
+    and the bi-invariant ``inner``, so <a, b> = inner(a, apply(b)).
+    """
+    br, apply, inner = ring.br, ring.apply, ring.inner
+    mx, my = apply(x), apply(y)
+    xy = br(x, y)
+    xy_m = _m_part(xy)
+    u_xy = _u(ring, x, mx, y, my)
+    u_xx = _u(ring, x, mx, x, mx)
+    u_yy = _u(ring, y, my, y, my)
+    return (-0.75 * inner(xy_m, apply(xy_m))
+            + 0.5 * inner(_m_part(br(-xy_m, y)), mx)
+            + 0.5 * inner(_m_part(br(xy_m, x)), my)
+            + inner(br(xy - xy_m, x), my)
+            + inner(u_xy, apply(u_xy))
+            - inner(u_xx, apply(u_yy)))
+
+
 # ---- exact evaluation at a fixed t ----
 
 
-def _project_m_arr(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[0] = 0.0
-    return out
+class _FixedRing:
+    """Values are (10,) arrays, with M_t and its block inverse exact."""
+
+    __slots__ = ("apply", "solve")
+    br = staticmethod(_bracket_arr)
+    inner = staticmethod(operator.matmul)
+
+    def __init__(self, m: DeformedMetric):
+        self.apply = m._apply_arr
+        self.solve = m._solve_arr
 
 
 def u_tensor(m: DeformedMetric, x: SpElement, y: SpElement) -> SpElement:
     """U(X,Y) = 1/2 M^{-1} ([X, MY] + [Y, MX])_m, symmetric in (x, y)."""
     if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
         raise ValueError("u_tensor arguments must lie in m")
-    mx = m._apply_arr(x.data)
-    my = m._apply_arr(y.data)
-    s = _bracket_arr(x.data, my) + _bracket_arr(y.data, mx)
-    return SpElement.from_array(0.5 * m._solve_arr(_project_m_arr(s)))
+    ring = _FixedRing(m)
+    return SpElement.from_array(
+        _u(ring, x.data, ring.apply(x.data), y.data, ring.apply(y.data))
+    )
 
 
 def numerator(m: DeformedMetric, plane: TangentPlane) -> float:
     """The six-term curvature numerator C(X, Y, t)."""
-    x = plane.x.data
-    y = plane.y.data
-    mx = m._apply_arr(x)
-    my = m._apply_arr(y)
-    br = _bracket_arr(x, y)
-    br_m = _project_m_arr(br)
-
-    t1 = -0.75 * float(br_m @ m._apply_arr(br_m))
-    byx_y = _project_m_arr(_bracket_arr(-br_m, y))
-    t2 = 0.5 * float(byx_y @ mx)
-    bxy_x = _project_m_arr(_bracket_arr(br_m, x))
-    t3 = 0.5 * float(bxy_x @ my)
-    br_h = np.zeros(10)
-    br_h[0] = br[0]
-    t4 = float(_bracket_arr(br_h, x) @ my)
-    u_xy = 0.5 * m._solve_arr(_project_m_arr(_bracket_arr(x, my) + _bracket_arr(y, mx)))
-    t5 = float(u_xy @ m._apply_arr(u_xy))
-    u_xx = m._solve_arr(_project_m_arr(_bracket_arr(x, mx)))
-    u_yy = m._solve_arr(_project_m_arr(_bracket_arr(y, my)))
-    t6 = -float(u_xx @ m._apply_arr(u_yy))
-    return t1 + t2 + t3 + t4 + t5 + t6
+    return float(_six_terms(_FixedRing(m), plane.x.data, plane.y.data))
 
 
 def denominator(m: DeformedMetric, plane: TangentPlane) -> float:
@@ -237,104 +267,57 @@ def sectional_curvature(m: DeformedMetric, plane: TangentPlane) -> CurvatureRepo
 
 
 # ---- jets of C at t = 0 ----
-#
-# Element jets are lists of (10,) arrays, one per power of t, kept only to
-# the length actually populated (at most 5).
 
 
-def _ejet_bracket(p, q):
-    deg = min(_JET_ORDER, len(p) - 1 + len(q) - 1)
-    out = []
-    for k in range(deg + 1):
-        acc = None
-        for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1):
-            term = _bracket_arr(p[i], q[k - i])
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else np.zeros(10))
-    return out
+class _JetRing:
+    """Values are (k, 10) arrays of coefficients of t^0 .. t^(k-1), k <= 5.
 
+    Products are Cauchy products truncated after t^4, each coefficient
+    summed from the lowest power of the left factor up.  M_t = I + tL
+    shifts L p up one power, and M_t^{-1} is its Neumann series.
+    """
 
-def _ejet_inner(p, q) -> Jet:
-    coeff = np.zeros(_JET_ORDER + 1)
-    for k in range(_JET_ORDER + 1):
-        for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1):
-            coeff[k] += float(p[i] @ q[k - i])
-    return Jet(coeff)
+    __slots__ = ("lam9", "neumann")
 
+    def __init__(self, d: MetricDeformation):
+        self.lam9 = d.matrix9
+        # (-L)^i for i = 0..4, the Neumann coefficients of M_t^{-1}.
+        self.neumann = [np.eye(9)]
+        for _ in range(_JET_ORDER):
+            self.neumann.append(-self.lam9 @ self.neumann[-1])
 
-def _ejet_metric(lam9: np.ndarray, p):
-    """Jet of M_t applied to p: adds t * L to each coefficient."""
-    out = [a.copy() for a in p] + [np.zeros(10)]
-    out = out[: _JET_ORDER + 1]
-    for k in range(1, len(out)):
-        out[k][1:] += lam9 @ p[k - 1][1:] if k - 1 < len(p) else 0.0
-    return out
+    @staticmethod
+    def br(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        out = []
+        for k in range(min(_JET_ORDER, len(p) + len(q) - 2) + 1):
+            terms = [_bracket_arr(p[i], q[k - i])
+                     for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1)]
+            out.append(sum(terms[1:], terms[0]))
+        return np.array(out)
 
+    @staticmethod
+    def inner(p: np.ndarray, q: np.ndarray) -> Jet:
+        coeff = [0.0] * (_JET_ORDER + 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[: _JET_ORDER + 1 - i]):
+                coeff[i + j] += float(a @ b)
+        return Jet(coeff)
 
-def _ejet_metric_inverse(lam_pows, p):
-    """Neumann series: (M_t^{-1} p)_k = sum_i (-1)^i L^i p_{k-i}."""
-    out = []
-    for k in range(_JET_ORDER + 1):
-        acc = np.zeros(10)
-        for j in range(max(0, k - len(lam_pows) + 1), min(k, len(p) - 1) + 1):
-            i = k - j
-            term = np.zeros(10)
-            term[1:] = lam_pows[i] @ p[j][1:]
-            if i == 0:
-                term[0] = p[j][0]
-            if i % 2 == 1:
-                term = -term
-            acc += term
-        out.append(acc)
-    return out
-
-
-def _numerator_term_jets(d: MetricDeformation, plane: TangentPlane):
-    """The six term jets of C about t = 0, in display order."""
-    x = plane.x.data
-    y = plane.y.data
-    lam9 = d.matrix9
-    lam_pows = [np.eye(9)]
-    for _ in range(_JET_ORDER):
-        lam_pows.append(lam9 @ lam_pows[-1])
-
-    def lap(a):
-        out = np.zeros(10)
-        out[1:] = lam9 @ a[1:]
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        out = np.zeros((min(len(p) + 1, _JET_ORDER + 1), 10))
+        out[: len(p)] = p[: len(out)]
+        for k, a in enumerate(p[: len(out) - 1], 1):
+            out[k, 1:] += self.lam9 @ a[1:]
         return out
 
-    lx = lap(x)
-    ly = lap(y)
-    mx_jet = [x, lx]
-    my_jet = [y, ly]
-
-    br = _bracket_arr(x, y)
-    br_m = _project_m_arr(br)
-    br_h = np.zeros(10)
-    br_h[0] = br[0]
-
-    t1 = -0.75 * _ejet_inner([br_m], _ejet_metric(lam9, [br_m]))
-    byx_y = _project_m_arr(_bracket_arr(-br_m, y))
-    t2 = 0.5 * _ejet_inner([byx_y], mx_jet)
-    bxy_x = _project_m_arr(_bracket_arr(br_m, x))
-    t3 = 0.5 * _ejet_inner([bxy_x], my_jet)
-    t4 = _ejet_inner([_bracket_arr(br_h, x)], my_jet)
-
-    sum_xy = _ejet_bracket([x], my_jet)
-    for k, term in enumerate(_ejet_bracket([y], mx_jet)):
-        sum_xy[k] = sum_xy[k] + term
-    sum_xy = [_project_m_arr(a) for a in sum_xy]
-    u_xy = [0.5 * a for a in _ejet_metric_inverse(lam_pows, sum_xy)]
-    t5 = _ejet_inner(u_xy, _ejet_metric(lam9, u_xy))
-
-    u_xx = _ejet_metric_inverse(
-        lam_pows, [_project_m_arr(a) for a in _ejet_bracket([x], mx_jet)]
-    )
-    u_yy = _ejet_metric_inverse(
-        lam_pows, [_project_m_arr(a) for a in _ejet_bracket([y], my_jet)]
-    )
-    t6 = -_ejet_inner(u_xx, _ejet_metric(lam9, u_yy))
-    return t1, t2, t3, t4, t5, t6
+    def solve(self, p: np.ndarray) -> np.ndarray:
+        """The h slot passes through; (M_t^{-1} p)_k = sum_j (-L)^(k-j) p_j."""
+        out = np.zeros((_JET_ORDER + 1, 10))
+        out[: len(p), 0] += p[:, 0]
+        for j, a in enumerate(p):
+            for i, n in enumerate(self.neumann[: _JET_ORDER + 1 - j]):
+                out[i + j, 1:] += n @ a[1:]
+        return out
 
 
 def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:
@@ -343,8 +326,7 @@ def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:
     Coefficients c0..c4 are exact up to rounding; the k-th derivative of C
     at 0 is k! * c_k.
     """
-    t1, t2, t3, t4, t5, t6 = _numerator_term_jets(d, plane)
-    return t1 + t2 + t3 + t4 + t5 + t6
+    return _six_terms(_JetRing(d), plane.x.data[None], plane.y.data[None])
 
 
 def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL_TOL) -> bool:
@@ -358,7 +340,7 @@ def second_derivative_closed_form(d: MetricDeformation, plane: TangentPlane) -> 
     """C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, valid only for commuting pairs."""
     if not is_commuting_pair(plane.x, plane.y):
         raise ValueError("closed form requires a commuting pair")
-    lx = d._apply_arr(_project_m_arr(plane.x.data))
-    ly = d._apply_arr(_project_m_arr(plane.y.data))
+    lx = d._apply_arr(_m_part(plane.x.data))
+    ly = d._apply_arr(_m_part(plane.y.data))
     diff = _bracket_arr(plane.x.data, ly) - _bracket_arr(plane.y.data, lx)
     return 0.5 * float(diff @ diff)

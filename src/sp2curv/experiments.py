@@ -187,7 +187,8 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
             diff[k] -= bracket_fn(x, y).data
             if abs(traces[k]) > 1e-1:
                 ratios.append(bi_inner(x, y) / traces[k])
-        max_err = max(max_err, float(np.max(np.abs(diff))))
+        # np.maximum keeps a NaN, which the builtin max would drop.
+        max_err = float(np.maximum(max_err, np.max(np.abs(diff))))
 
     ratios = np.asarray(ratios)
     ratio = float(np.median(ratios))
@@ -206,17 +207,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _element(u=None, v=None, w=None) -> SpElement:
-    data = np.zeros(10)
-    if u is not None:
-        data[1:4] = u
-    if v is not None:
-        data[4:7] = v
-    if w is not None:
-        data[7:10] = w
-    return SpElement.from_array(data)
-
-
 def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
     """A commuting plane a controlled small distance off the orbit.
 
@@ -233,7 +223,7 @@ def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
     d2 = np.cross(E2, rng.normal(size=3))
     d2 = _unit(d2 - np.dot(d2, v) * v)
     w = _unit(E2 - np.dot(E2, v) * v + delta * d2)
-    return _element(v=v), _element(w=w)
+    return SpElement(0.0, 0.0, v, 0.0), SpElement(0.0, 0.0, 0.0, w)
 
 
 def _adversarial_centralizer(rng) -> tuple[SpElement, SpElement]:
@@ -253,9 +243,9 @@ def _adversarial_centralizer(rng) -> tuple[SpElement, SpElement]:
         r /= np.linalg.norm(r)
         if np.linalg.norm(r - np.dot(r, E1) * E1) >= _TRANSVERSE_FLOOR:
             break
-    x = _element(v=_unit(E1 + delta * r))
+    x = SpElement(0.0, 0.0, _unit(E1 + delta * r), 0.0)
     basis = centralizer_in_m(x)
-    target = _element(w=E2).data
+    target = SpElement(0.0, 0.0, 0.0, E2).data
     coeffs = basis @ target
     y = basis.T @ coeffs
     y -= np.dot(y, x.data) * x.data / float(np.dot(x.data, x.data))
@@ -555,14 +545,17 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
         deformation = reference_deformation()
     start = time.perf_counter()
     sigma, c3 = measure_sigma(deformation)
+    # Build every requested metric before sampling, so that a t at which
+    # I + tL is not positive definite is rejected before any work.
+    metrics = [DeformedMetric(deformation, sigma * abs(float(t)))
+               for t in t_values]
 
     planes = []
     for i in range(n_samples):
         plane, _, _ = sample_commuting_plane(seed, i)
         planes.append(plane.orthonormalized())
 
-    def scan(t: float):
-        metric = DeformedMetric(deformation, t)
+    def scan(metric: DeformedMetric):
         min_k = np.inf
         argmin = -1
         for i, plane in enumerate(planes):
@@ -574,9 +567,9 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
 
     scans = []
     ok = True
-    for t_req in t_values:
-        t = sigma * abs(float(t_req))
-        min_k, argmin = scan(t)
+    for metric in metrics:
+        t = metric.t
+        min_k, argmin = scan(metric)
         if t == 0.0:
             positive = abs(min_k) <= 1e-12
             over_t2 = over_t3 = 0.0
@@ -604,11 +597,11 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
     for mag in sorted(_FRONTIER_GRID):
         t = sigma * mag
         try:
-            DeformedMetric(deformation, t)
+            metric = DeformedMetric(deformation, t)
         except ValueError:
             frontier.append((t, float("nan"), False))
             continue
-        min_k, _ = scan(t)
+        min_k, _ = scan(metric)
         frontier.append((t, min_k, min_k > 0.0))
         if min_k > 0.0:
             frontier_t = t
@@ -664,35 +657,34 @@ def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
 
     if eig_a[0] <= eig_b[0]:
         u = signed(vec_a[:, 0])
-        x = _element(u=u)
-        z = _element(v=u)
+        x = SpElement(0.0, u, 0.0, 0.0)
+        z = SpElement(0.0, 0.0, u, 0.0)
         tag = "u_eigenvector"
     else:
         vw = signed(vec_b[:, 0])
         v, w = vw[:3], vw[3:]
-        x = _element(v=v, w=w)
+        x = SpElement(0.0, 0.0, v, w)
         stack = np.vstack([v, w])
         svals = np.linalg.svd(stack, compute_uv=False)
         if svals[1] <= 1e-8 * svals[0]:
             _, _, vt = np.linalg.svd(stack)
-            z = _element(u=signed(vt[0]))
+            z = SpElement(0.0, signed(vt[0]), 0.0, 0.0)
             tag = "vw_aligned"
         else:
             s = 0.25 * np.arctan2(2.0 * np.dot(v, w),
                                   float(np.dot(v, v) - np.dot(w, w)))
             rotated = ad_h(s, x)
-            z = ad_h(-s, _element(v=_unit(rotated.data[4:7])))
+            z = ad_h(-s, SpElement(0.0, 0.0, _unit(rotated.data[4:7]), 0.0))
             tag = "vw_generic"
 
     y = metric.inverse_apply(z)
     plane = TangentPlane(x, y)
-    num = numerator(metric, plane)
-    k = sectional_curvature(metric, plane).k_value
+    report = sectional_curvature(metric, plane)
     return WilkingCertificate(
         x=tuple(float(t) for t in x.data),
         z=tuple(float(t) for t in z.data),
         y=tuple(float(t) for t in y.data),
-        k_value=float(k), numerator_value=float(num),
+        k_value=float(report.k_value), numerator_value=float(report.c_value),
         smallest_eigenvalue=lam, case_tag=tag)
 
 

@@ -12,8 +12,8 @@ from sp2curv import (
     ad_h,
     canonicalize,
     centralizer_in_m,
-    commutes,
     in_special_orbit,
+    is_commuting_pair,
     sample_cartan,
     special_orbit_distance,
 )
@@ -45,15 +45,15 @@ def t0_pair():
 
 def test_commutes_basics():
     x, y = t0_pair()
-    assert commutes(x, y)
-    assert not commutes(x, element(w=E1))
+    assert is_commuting_pair(x, y)
+    assert not is_commuting_pair(x, element(w=E1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sampled_pairs_commute(family):
     for i in range(30):
         s = sample_cartan(family, np.random.default_rng([1, i]))
-        assert commutes(s.x, s.y)
+        assert is_commuting_pair(s.x, s.y)
 
 
 def test_centralizer_dimensions():
@@ -72,7 +72,7 @@ def test_centralizer_rows_commute_and_are_orthonormal():
     np.testing.assert_allclose(basis @ basis.T, np.eye(basis.shape[0]),
                                atol=1e-12)
     for row in basis:
-        assert commutes(x, SpElement.from_array(row))
+        assert is_commuting_pair(x, SpElement.from_array(row))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sp2curv import experiments
 from sp2curv.cli import main
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
@@ -54,6 +55,20 @@ def test_theorem1_exit_zero(capsys):
     assert payload["results"]["sigma"] == -1
     assert payload["results"]["opposite_sign"]["k_value"] < 0
     assert payload["summary"]["opposite_sign_k"] < 0
+
+
+@pytest.mark.parametrize("t_values", ["5", "0.001,5"])
+def test_theorem1_rejects_t_outside_positive_definite_range(capsys, monkeypatch,
+                                                            t_values):
+    # At t = 5 the deformed reference metric is not positive definite, and
+    # that is rejected before any plane is sampled.
+    def unreachable(*args):
+        raise AssertionError("sampled a plane before rejecting t")
+
+    monkeypatch.setattr(experiments, "sample_commuting_plane", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "--t", t_values])
+    assert exc.value.code == 2
 
 
 def test_wilking_exit_zero(capsys):

@@ -176,6 +176,26 @@ def test_jet_evaluates_to_numerator_within_truncation(generic_triple):
     assert jet.evaluate(t) == pytest.approx(exact, rel=1e-8, abs=1e-15)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jet_matches_numerator_on_generic_planes(seed):
+    # The jets and the fixed-t values run the same formula, so on planes
+    # that do not commute the constant coefficient is the t = 0 value
+    # bit for bit, and at t = 1e-3 (truncation error ~1e-15) they agree.
+    d = random_deformation(seed)
+    rng = np.random.default_rng([31, seed])
+    at_zero = DeformedMetric(d, 0.0)
+    at_small = DeformedMetric(d, 1e-3)
+    for _ in range(50):
+        a, b = rng.normal(size=(2, 9))
+        plane = TangentPlane(element(u=a[:3], v=a[3:6], w=a[6:]),
+                             element(u=b[:3], v=b[3:6], w=b[6:]))
+        assert not is_commuting_pair(plane.x, plane.y)
+        jet = numerator_jet(d, plane)
+        assert jet[0] == numerator(at_zero, plane)
+        assert jet.evaluate(1e-3) == pytest.approx(numerator(at_small, plane),
+                                                   rel=1e-10)
+
+
 # ---- the commuting closed form ----
 
 

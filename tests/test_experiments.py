@@ -47,6 +47,15 @@ def test_oracle_suite_catches_corrupted_bracket():
     assert not report.passed
     assert report.max_bracket_error > 1e-12
 
+    def nan_bracket(x, y):
+        out = bracket(x, y).data.copy()
+        out[3] = np.nan
+        return SpElement.from_array(out)
+
+    report = run_oracle_suite(5, 50, bracket_fn=nan_bracket)
+    assert not report.passed
+    assert np.isnan(report.max_bracket_error)
+
 
 @pytest.mark.parametrize("samples", [1, 300, 3 * _ORACLE_CHUNK + 5])
 def test_oracle_suite_matches_per_pair_oracle(samples):
