@@ -24,9 +24,11 @@ components.  The commutator in that model is the oracle against which the
 coordinate bracket is verified; it shares no code with the fast path.
 The matrix side is four quaternion entries, with the Hamilton product
 written out component by component; the coordinate side is the unrolled
-bracket on flat arrays.  A quaternion component is a float for one
-element, or an (n,) numpy column for n elements converted at once, so
-one set of formulas serves both the single and the batched oracle.
+bracket on flat arrays, and a batched bracket on (n, 10) arrays whose
+structure constants are read off the unrolled one.  A quaternion
+component is a float for one element, or an (n,) numpy column for n
+elements converted at once, so one set of formulas serves both the
+single and the batched oracle.
 """
 
 from __future__ import annotations
@@ -164,6 +166,66 @@ def _bracket_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             ua1 * wb2 - ua2 * wb1 - ub1 * wa2 + ub2 * wa1 + la * vb3 - lb * va3,
         ]
     )
+
+
+class _Traced:
+    """A signed sum of products a_i b_j, kept in the order it is written."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # [(sign, i, j)], None for a missing factor
+
+    def __mul__(self, other: "_Traced") -> "_Traced":
+        (_, i, j), (_, k, m) = self.terms[0], other.terms[0]
+        return _Traced([(1.0, k if i is None else i, m if j is None else j)])
+
+    def __add__(self, other: "_Traced") -> "_Traced":
+        return _Traced(self.terms + other.terms)
+
+    def __sub__(self, other: "_Traced") -> "_Traced":
+        return _Traced(self.terms + [(-s, i, j) for s, i, j in other.terms])
+
+
+def _bracket_table():
+    """The bracket's structure constants, read off the coordinate bracket.
+
+    Running _bracket_arr on traced coordinates records every output
+    component as six signed products a_i b_j in the order the bracket
+    adds them.  Returns (6, 10) arrays i, j and sign such that
+    [a, b]_k = sign[0, k] a_{i[0, k]} b_{j[0, k]} + ... + sign[5, k] ...,
+    summed from the left exactly as _bracket_arr sums.
+    """
+    a = np.array([_Traced([(1.0, i, None)]) for i in range(10)], dtype=object)
+    b = np.array([_Traced([(1.0, None, j)]) for j in range(10)], dtype=object)
+    table = np.array([out.terms for out in _bracket_arr(a, b)])  # (10, 6, 3)
+    sign, i, j = table.transpose(2, 1, 0)
+    return i.astype(int), j.astype(int), sign
+
+
+_BR_I, _BR_J, _BR_SIGN = _bracket_table()
+
+
+def _bracket_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bracket of (n, 10) arrays, row by row, from the structure constants.
+
+    Each row gets the bits _bracket_arr gives it, whatever n is.
+    """
+    p = a[:, _BR_I]
+    p *= b[:, _BR_J]
+    p *= _BR_SIGN
+    return _sum_axis1(p)
+
+
+def _sum_axis1(p: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 from the left, so each entry's order is fixed.
+
+    np.sum may change its summation order with the shape of the array.
+    """
+    out = p[:, 0].copy()
+    for j in range(1, p.shape[1]):
+        out += p[:, j]
+    return out
 
 
 def bracket(x: SpElement, y: SpElement) -> SpElement:

@@ -8,7 +8,8 @@ JSON (default), CSV or plain text, to stdout or ``--out``.
 Exit codes: 0 on success, 1 on a verification failure (the payload
 then carries a witness with enough data to replay it through
 ``classify``), 2 on usage or configuration errors, including a
-``classify`` input that does not commute.
+``classify`` input that does not commute and an ``--out`` path that
+cannot be written (a missing directory is created).
 
 JSON payloads are versioned via ``schema_version`` and deterministic
 for a fixed seed and configuration, except for the ``timing_seconds``
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -89,16 +91,19 @@ def _vector(text: str) -> SpElement:
     return SpElement.from_array(np.asarray(parts))
 
 
+def _classify_arg(v) -> str:
+    """A vector as a classify-ready argument string; repr is lossless."""
+    return ",".join(repr(float(t)) for t in v)
+
+
 def _witness(seed, index, x, y):
     """Replayable failure record; the strings feed classify directly."""
-    xs = ",".join(repr(float(t)) for t in x)
-    ys = ",".join(repr(float(t)) for t in y)
     return {
         "seed": seed,
         "sample_index": index,
         "x": [float(t) for t in x],
         "y": [float(t) for t in y],
-        "classify_args": [xs, ys],
+        "classify_args": [_classify_arg(x), _classify_arg(y)],
     }
 
 
@@ -166,8 +171,7 @@ def _run_lemma1(cfg):
               "orbit_distance", "c2", "c3", "classification", "x", "y"]
     rows = [[v.plane_id, v.family, v.kind, v.special_orbit,
              v.orbit_distance, v.c2, v.c3, v.classification,
-             ",".join(repr(t) for t in v.x),
-             ",".join(repr(t) for t in v.y)]
+             _classify_arg(v.x), _classify_arg(v.y)]
             for v in report.verdicts]
     return results, summary, (header, rows), report.passed
 
@@ -184,6 +188,8 @@ def _run_theorem1(cfg):
                 "t": s.t,
                 "min_k": s.min_k,
                 "argmin_plane": s.argmin_plane,
+                "argmin_x": _classify_arg(s.x),
+                "argmin_y": _classify_arg(s.y),
                 "min_k_over_t2": s.min_k_over_t2,
                 "min_k_over_t3": s.min_k_over_t3,
                 "positive": s.positive,
@@ -328,9 +334,11 @@ def _render_text(payload) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write to stdout, or to ``out``, creating its directory if missing."""
     if out is None:
         sys.stdout.write(text)
     else:
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -464,5 +472,8 @@ def main(argv=None) -> int:
         text = _render_csv(header, rows)
     else:
         text = _render_text(payload)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        parser.exit(_USAGE_ERROR, f"sp2curv: error: {exc}\n")
     return 0 if passed else 1

@@ -15,11 +15,13 @@ with every pairing taken in the metric <a,b> = <a, M_t b>_bi and
 
 The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
-The formula is written once and evaluated in two rings.  At a fixed t the
-values are (10,) arrays and M_t^{-1} is the exact block inverse.  At t = 0
-the values are degree-4 truncated power series (jets) in t: M_t^{-1} enters
-through its Neumann series, so every coefficient through t^4 is exact up to
-rounding, with no step-size error.
+The formula is written once and evaluated in three rings.  At a fixed t the
+values are (10,) arrays and M_t^{-1} is the exact block inverse; for many
+planes at one fixed t they are (n, 10) arrays, one plane vector per row,
+each row computed as if it were alone.  At t = 0 the values are degree-4
+truncated power series (jets) in t: M_t^{-1} enters through its Neumann
+series, so every coefficient through t^4 is exact up to rounding, with no
+step-size error.
 For commuting pairs the second derivative collapses to the closed form
 C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 """
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _bracket_arr
+from .algebra import SpElement, _bracket_arr, _bracket_rows, _sum_axis1
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -231,6 +233,79 @@ class _FixedRing:
     def __init__(self, m: DeformedMetric):
         self.apply = m._apply_arr
         self.solve = m._solve_arr
+
+
+# ---- many planes at one fixed t ----
+
+
+def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise dot product, summed column by column from the left."""
+    return _sum_axis1(p * q)
+
+
+def _block_operator(a3: np.ndarray, b6: np.ndarray) -> np.ndarray:
+    """The 10x10 operator: identity on h, a3 on u and b6 on (v, w)."""
+    out = np.eye(10)
+    out[1:4, 1:4] = a3
+    out[4:10, 4:10] = b6
+    return out
+
+
+class _RowsRing:
+    """Values are (n, 10) arrays, one plane vector per row, at a fixed t.
+
+    M_t and its exact block inverse act on every row at once.  Every sum
+    runs in a fixed order, so no row's value depends on how many rows are
+    evaluated together.
+    """
+
+    __slots__ = ("_op", "_inv")
+    br = staticmethod(_bracket_rows)
+    inner = staticmethod(_rows_dot)
+
+    def __init__(self, m: DeformedMetric):
+        self._op = _block_operator(m.operator_a(), m.operator_block6())
+        self._inv = _block_operator(m._inv_a, m._inv_block6)
+
+    @staticmethod
+    def _times(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """mat @ row for every row of a, summed column by column from the left."""
+        out = a[:, :1] * mat[:, 0]
+        for j in range(1, mat.shape[1]):
+            out += a[:, j : j + 1] * mat[:, j]
+        return out
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        return self._times(self._op, a)
+
+    def solve(self, a: np.ndarray) -> np.ndarray:
+        return self._times(self._inv, a)
+
+
+# Rows evaluated at once by _sectional_curvature_rows; it changes no
+# value.  At 256 rows the temporaries stay in cache: a 10k-plane scan
+# took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.
+_ROWS_CHUNK = 256
+
+
+def _sectional_curvature_rows(m: DeformedMetric, x: np.ndarray,
+                              y: np.ndarray) -> np.ndarray:
+    """K = C / S for the planes spanned by the rows of (n, 10) arrays x, y.
+
+    Raises ValueError, like sectional_curvature, if any plane has a
+    nonpositive metric Gram determinant.
+    """
+    ring = _RowsRing(m)
+    k = np.empty(len(x))
+    for lo in range(0, len(x), _ROWS_CHUNK):
+        xs, ys = x[lo : lo + _ROWS_CHUNK], y[lo : lo + _ROWS_CHUNK]
+        mx, my = ring.apply(xs), ring.apply(ys)
+        xmy = _rows_dot(xs, my)
+        s = _rows_dot(xs, mx) * _rows_dot(ys, my) - xmy * xmy
+        if np.any(s <= 0.0):
+            raise ValueError("degenerate plane: nonpositive metric Gram determinant")
+        k[lo : lo + _ROWS_CHUNK] = _six_terms(ring, xs, ys) / s
+    return k
 
 
 def u_tensor(m: DeformedMetric, x: SpElement, y: SpElement) -> SpElement:

@@ -30,6 +30,7 @@ from .algebra import (
     E1,
     E2,
     SpElement,
+    _bracket_rows,
     ad_h,
     bi_inner,
     bracket,
@@ -46,6 +47,7 @@ from .cartan import (
 )
 from .curvature import (
     TangentPlane,
+    _sectional_curvature_rows,
     is_commuting_pair,
     numerator,
     numerator_jet,
@@ -146,8 +148,10 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
     commutator oracle; the largest componentwise discrepancy is
     reported.  The ad-invariant inner product is compared against the
     negative real trace form, which it must match up to one global
-    constant.  ``bracket_fn`` exists so tests can inject a corrupted
-    bracket and watch the suite fail.
+    constant.  The batched bracket of the curvature scans is checked
+    against the same commutator, and its error counts in
+    ``max_bracket_error`` too.  ``bracket_fn`` exists so tests can inject
+    a corrupted pair-by-pair bracket and watch the suite fail.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -180,6 +184,9 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
         my = to_matrix(pairs[:, 1])
         xy = mx @ my
         diff = from_matrix(xy - (my @ mx), tol=1e-8)
+        # The batched bracket of the curvature scans meets the same
+        # commutator, all pairs of the chunk at once.
+        rows_err = np.max(np.abs(diff - _bracket_rows(pairs[:, 0], pairs[:, 1])))
         traces = xy.minus_re_trace().tolist()
         for k, (xa, ya) in enumerate(pairs):
             x = SpElement.from_array(xa)
@@ -188,7 +195,8 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
             if abs(traces[k]) > 1e-1:
                 ratios.append(bi_inner(x, y) / traces[k])
         # np.maximum keeps a NaN, which the builtin max would drop.
-        max_err = float(np.maximum(max_err, np.max(np.abs(diff))))
+        max_err = float(np.maximum(max_err, np.maximum(
+            rows_err, np.max(np.abs(diff)))))
 
     ratios = np.asarray(ratios)
     ratio = float(np.median(ratios))
@@ -484,12 +492,16 @@ def verify_lemma1(seed: int, n_samples: int = 10000, *,
 
 
 class Theorem1Scan(NamedTuple):
+    """One scan; ``x`` and ``y`` span the orthonormalized argmin plane."""
+
     t: float
     min_k: float
     argmin_plane: int
     min_k_over_t2: float
     min_k_over_t3: float
     positive: bool
+    x: tuple
+    y: tuple
 
 
 class Theorem1Report(NamedTuple):
@@ -550,20 +562,17 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
     metrics = [DeformedMetric(deformation, sigma * abs(float(t)))
                for t in t_values]
 
-    planes = []
-    for i in range(n_samples):
-        plane, _, _ = sample_commuting_plane(seed, i)
-        planes.append(plane.orthonormalized())
+    planes = [sample_commuting_plane(seed, i)[0].orthonormalized()
+              for i in range(n_samples)]
+    x = np.array([p.x.data for p in planes])
+    y = np.array([p.y.data for p in planes])
 
     def scan(metric: DeformedMetric):
-        min_k = np.inf
-        argmin = -1
-        for i, plane in enumerate(planes):
-            k = sectional_curvature(metric, plane).k_value
-            if k < min_k:
-                min_k = k
-                argmin = i
-        return float(min_k), argmin
+        # np.argmin returns the first NaN if there is one, so a NaN
+        # curvature makes the scan's minimum NaN and fails it.
+        k = _sectional_curvature_rows(metric, x, y)
+        argmin = int(np.argmin(k))
+        return float(k[argmin]), argmin
 
     scans = []
     ok = True
@@ -579,7 +588,8 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
             over_t3 = min_k / abs(t) ** 3
         ok = ok and positive
         scans.append(Theorem1Scan(t, min_k, argmin, over_t2, over_t3,
-                                  positive))
+                                  positive, tuple(x[argmin].tolist()),
+                                  tuple(y[argmin].tolist())))
 
     # Flipping the deformation sign must produce visible negative
     # curvature on the distinguished plane itself.
@@ -813,8 +823,7 @@ def run_baseline_suite(seed: int, samples: int = 10000, *,
         raise ValueError("samples must be positive")
     start = time.perf_counter()
     metric = DeformedMetric(reference_deformation(), 0.0)
-    min_k = np.inf
-    max_comm = 0.0
+    planes = []
     for i in range(samples):
         if i % 2 == 0:
             rng = np.random.default_rng([seed, 4, i])
@@ -823,14 +832,16 @@ def run_baseline_suite(seed: int, samples: int = 10000, *,
             x[1:] = rng.normal(size=9)
             y[1:] = rng.normal(size=9)
             plane = TangentPlane(SpElement.from_array(x),
-                                 SpElement.from_array(y)).orthonormalized()
-            min_k = min(min_k, sectional_curvature(metric, plane).k_value)
+                                 SpElement.from_array(y))
         else:
             plane, _, _ = sample_commuting_plane(seed, i)
-            plane = plane.orthonormalized()
-            k = sectional_curvature(metric, plane).k_value
-            min_k = min(min_k, k)
-            max_comm = max(max_comm, abs(k))
+        planes.append(plane.orthonormalized())
+    k = _sectional_curvature_rows(metric,
+                                  np.array([p.x.data for p in planes]),
+                                  np.array([p.y.data for p in planes]))
+    # np.min and np.max keep a NaN, which the builtin min and max drop.
+    min_k = float(np.min(k))
+    max_comm = float(np.max(np.abs(k[1::2]), initial=0.0))
     elapsed = time.perf_counter() - start
     passed = min_k >= -tol and max_comm <= tol
-    return BaselineReport(samples, float(min_k), max_comm, elapsed, passed)
+    return BaselineReport(samples, min_k, max_comm, elapsed, passed)

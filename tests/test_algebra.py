@@ -16,7 +16,13 @@ from sp2curv import (
     project_h,
     project_m,
 )
-from sp2curv.algebra import elements_close, from_matrix, to_matrix
+from sp2curv.algebra import (
+    _bracket_arr,
+    _bracket_rows,
+    elements_close,
+    from_matrix,
+    to_matrix,
+)
 
 from conftest import coords, element
 
@@ -230,3 +236,13 @@ def test_projections_split_identity():
     assert project_m(x).in_m()
     assert project_h(x).in_h()
     assert elements_close(project_m(project_m(x)), project_m(x))
+
+
+def test_batched_bracket_matches_scalar_bracket_bit_for_bit():
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-1.0, 1.0, (2, 300, 10))
+    scalar = np.array([_bracket_arr(p, q) for p, q in zip(a, b)])
+    np.testing.assert_array_equal(_bracket_rows(a, b).view(np.uint64),
+                                  scalar.view(np.uint64))
+    np.testing.assert_array_equal(_bracket_rows(a[:1], b[:1]).view(np.uint64),
+                                  scalar[:1].view(np.uint64))

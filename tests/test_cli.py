@@ -2,9 +2,17 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from sp2curv import experiments
+from sp2curv import (
+    DeformedMetric,
+    SpElement,
+    TangentPlane,
+    experiments,
+    reference_deformation,
+    sectional_curvature,
+)
 from sp2curv.cli import main
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
@@ -180,6 +188,22 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["command"] == "oracle"
 
 
+def test_out_creates_missing_directory(tmp_path, capsys):
+    target = tmp_path / "a" / "b" / "report.json"
+    code, out = run_cli(capsys, ["oracle", "--samples", "30",
+                                 "--out", str(target)])
+    assert code == 0
+    assert json.loads(target.read_text())["passed"] is True
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # A directory cannot be opened as the report file.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--samples", "30", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("sp2curv: error:")
+
+
 def test_witness_round_trips_through_classify(capsys):
     # Every lemma1 verdict carries its plane; the CSV row must be
     # acceptable to classify verbatim.
@@ -192,3 +216,19 @@ def test_witness_round_trips_through_classify(capsys):
     code, payload = run_json(capsys, ["classify", record["x"], record["y"]])
     assert code == 0
     assert payload["results"]["classification"] == record["classification"]
+
+
+def test_theorem1_argmin_plane_replays_through_classify(capsys):
+    code, payload = run_json(capsys, ["theorem1", "--samples", "40",
+                                      "--seed", "11"])
+    assert code == 0
+    scan = payload["results"]["scans"][1]
+    code, replay = run_json(capsys, ["classify", scan["argmin_x"],
+                                     scan["argmin_y"]])
+    assert code == 0
+    assert replay["config"]["x"] == [float(t) for t in scan["argmin_x"].split(",")]
+    x = SpElement.from_array(np.array(replay["config"]["x"]))
+    y = SpElement.from_array(np.array(replay["config"]["y"]))
+    metric = DeformedMetric(reference_deformation(), scan["t"])
+    k = sectional_curvature(metric, TangentPlane(x, y)).k_value
+    assert k == pytest.approx(scan["min_k"], rel=0.0, abs=1e-14)

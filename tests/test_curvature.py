@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sp2curv import curvature
 from sp2curv import (
     DeformedMetric,
     E1,
@@ -24,7 +27,8 @@ from sp2curv import (
     sectional_curvature,
     special_plane,
 )
-from sp2curv.curvature import denominator, u_tensor
+from sp2curv.curvature import _sectional_curvature_rows, denominator, u_tensor
+from sp2curv.experiments import _FRONTIER_GRID
 
 from conftest import element
 
@@ -269,3 +273,57 @@ def test_denominator_positive_and_k_ratio(generic_triple):
     rep = sectional_curvature(m, plane)
     assert rep.s_value > 0
     assert rep.k_value == pytest.approx(rep.c_value / rep.s_value, rel=1e-15)
+
+
+# ---- many planes at once ----
+
+
+def _mixed_planes(seed, count):
+    """Orthonormal planes: generic ones from random m vectors, then commuting."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(count):
+        x, y = np.zeros(10), np.zeros(10)
+        x[1:], y[1:] = rng.normal(size=(2, 9))
+        planes.append(TangentPlane(SpElement.from_array(x),
+                                   SpElement.from_array(y)).orthonormalized())
+    planes += [sample_commuting_plane(seed, i)[0].orthonormalized()
+               for i in range(count)]
+    return planes, np.array([p.x.data for p in planes]), np.array([p.y.data for p in planes])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       t=st.sampled_from(_FRONTIER_GRID + (0.001, 0.01)),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_batched_curvature_matches_scalar(seed, t, sign):
+    try:
+        metric = DeformedMetric(reference_deformation(), sign * t)
+    except ValueError:
+        assume(False)
+    planes, x, y = _mixed_planes(seed, 6)
+    k = _sectional_curvature_rows(metric, x, y)
+    scalar = [sectional_curvature(metric, p).k_value for p in planes]
+    np.testing.assert_allclose(k, scalar, rtol=0.0, atol=1e-14)
+
+
+def test_batched_curvature_does_not_depend_on_chunk_size(monkeypatch):
+    _, x, y = _mixed_planes(3, 40)
+    for t in (-0.01, -0.2):
+        metric = DeformedMetric(reference_deformation(), t)
+        whole = _sectional_curvature_rows(metric, x, y).view(np.uint64)
+        for chunk in (1, 7):
+            monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
+            np.testing.assert_array_equal(
+                _sectional_curvature_rows(metric, x, y).view(np.uint64), whole)
+        monkeypatch.undo()
+
+
+def test_batched_curvature_rejects_degenerate_row():
+    _, x, y = _mixed_planes(5, 4)
+    metric = DeformedMetric(reference_deformation(), -0.01)
+    for bad in (x[5], np.zeros(10)):
+        y_bad = y.copy()
+        y_bad[5] = bad
+        with pytest.raises(ValueError, match="degenerate plane"):
+            _sectional_curvature_rows(metric, x, y_bad)

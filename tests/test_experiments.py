@@ -20,7 +20,16 @@ from sp2curv import (
     verify_wilking_inequalities,
     wilking_pair,
 )
-from sp2curv.algebra import E1, E2, bi_inner, bi_inner_trace_form, bracket_oracle
+from sp2curv import experiments
+from sp2curv.algebra import (
+    E1,
+    E2,
+    _bracket_rows,
+    bi_inner,
+    bi_inner_trace_form,
+    bracket_oracle,
+)
+from sp2curv.curvature import _sectional_curvature_rows
 from sp2curv.experiments import _ORACLE_CHUNK
 
 from conftest import element
@@ -90,6 +99,18 @@ def test_oracle_suite_matches_per_pair_oracle(samples):
     assert report.inner_ratio == ratio
     assert report.inner_ratio_spread == float(
         (ratios.max() - ratios.min()) / abs(ratio))
+
+
+def test_oracle_suite_checks_batched_bracket(monkeypatch):
+    def corrupted(a, b):
+        out = _bracket_rows(a, b)
+        out[-1, 3] += 1e-9
+        return out
+
+    monkeypatch.setattr(experiments, "_bracket_rows", corrupted)
+    report = run_oracle_suite(5, 300)
+    assert not report.passed
+    assert report.max_bracket_error > 1e-12
 
 
 def test_oracle_suite_rejects_bad_counts():
@@ -238,6 +259,34 @@ def test_theorem1_small_run():
     assert any(not entry[2] for entry in report.frontier)
 
 
+def test_theorem1_scans_carry_their_argmin_plane():
+    report = verify_theorem1(11, n_samples=40)
+    for scan in report.scans:
+        plane, _, _ = sample_commuting_plane(11, scan.argmin_plane)
+        ortho = plane.orthonormalized()
+        assert scan.x == tuple(ortho.x.data.tolist())
+        assert scan.y == tuple(ortho.y.data.tolist())
+
+
+def _nan_at_row_3(monkeypatch):
+    def with_nan(metric, x, y):
+        k = _sectional_curvature_rows(metric, x, y)
+        k[3] = np.nan
+        return k
+
+    monkeypatch.setattr(experiments, "_sectional_curvature_rows", with_nan)
+
+
+def test_theorem1_fails_on_nan_curvature(monkeypatch):
+    _nan_at_row_3(monkeypatch)
+    report = verify_theorem1(11, n_samples=40)
+    assert not report.passed
+    for scan in report.scans:
+        assert np.isnan(scan.min_k) and scan.argmin_plane == 3
+        assert not scan.positive
+    assert report.frontier_t == 0.0
+
+
 def test_theorem1_accepts_zero_t():
     report = verify_theorem1(11, n_samples=30, t_values=(0.0, 0.001))
     assert report.passed
@@ -302,3 +351,10 @@ def test_baseline_small_run():
     assert report.passed
     assert report.min_k >= -1e-12
     assert report.max_commuting_k <= 1e-12
+
+
+def test_baseline_fails_on_nan_curvature(monkeypatch):
+    _nan_at_row_3(monkeypatch)
+    report = run_baseline_suite(7, 40)
+    assert not report.passed
+    assert np.isnan(report.min_k) and np.isnan(report.max_commuting_k)
