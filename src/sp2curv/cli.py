@@ -260,11 +260,12 @@ def _run_classify(cfg):
     x, y = cfg.x, cfg.y
     plane = TangentPlane(x, y)
     classification = canonicalize(x, y)
+    deformation = reference_deformation()
     label, special, distance, c2, c3 = classify_plane(
-        plane,
+        plane, deformation=deformation,
         orbit_tol=cfg.tol if cfg.tol is not None else 1e-8)
     ortho = plane.orthonormalized()
-    jet = numerator_jet(reference_deformation(), ortho)
+    jet = numerator_jet(deformation, ortho)
     results = {
         "family": classification.family,
         "parameters": _plain(classification.parameters),
@@ -358,50 +359,35 @@ def _parse_t_list(text: str):
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sp2curv",
-        description="Curvature verification suites for the deformed "
-                    "homogeneous metrics on Sp(2)/U(1).")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(sp, samples):
+    sp.add_argument("--seed", type=int, default=0,
+                    help="base seed for all sample streams")
+    sp.add_argument("--samples", type=int, default=samples,
+                    help=f"number of samples (default {samples})")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="override the main tolerance of this command")
+    sp.add_argument("--format", dest="fmt",
+                    choices=("json", "csv", "text"), default="json")
+    sp.add_argument("--out", default=None,
+                    help="write the report to this path instead of stdout")
 
-    def common(sp, samples):
-        sp.add_argument("--seed", type=int, default=0,
-                        help="base seed for all sample streams")
-        sp.add_argument("--samples", type=int, default=samples,
-                        help=f"number of samples (default {samples})")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the main tolerance of this command")
-        sp.add_argument("--format", dest="fmt",
-                        choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--out", default=None,
-                        help="write the report to this path instead of stdout")
 
-    p = sub.add_parser("oracle",
-                       help="bracket and inner product vs the matrix model")
-    common(p, 10000)
-
-    p = sub.add_parser("lemma1", help="dichotomy over commuting planes")
-    common(p, 10000)
+def _lemma1_arguments(p):
+    _common(p, 10000)
     p.add_argument("--family", choices=("F1", "F2", "F3", "F4"), default=None,
                    help="restrict sampling to one canonical family")
     p.add_argument("--adversarial", action="store_true",
                    help="sample only orbit-adjacent planes")
 
-    p = sub.add_parser("theorem1",
-                       help="curvature positivity at small deformation times")
-    common(p, 10000)
+
+def _theorem1_arguments(p):
+    _common(p, 10000)
     p.add_argument("--t", type=_parse_t_list, default=(0.001, 0.01),
                    dest="t_values", metavar="T1,T2,...",
                    help="deformation magnitudes; the measured sign is applied")
 
-    p = sub.add_parser("wilking",
-                       help="nonpositive planes for random homogeneous metrics")
-    common(p, 1000)
 
-    p = sub.add_parser("classify", help="canonicalize one commuting plane")
+def _classify_arguments(p):
     p.add_argument("x", help="first spanning vector, comma separated reals")
     p.add_argument("y", help="second spanning vector, comma separated reals")
     p.add_argument("--tol", type=float, default=None,
@@ -409,20 +395,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt",
                    choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None)
-    return parser
 
 
-_RUNNERS = {
-    "oracle": _run_oracle,
-    "lemma1": _run_lemma1,
-    "theorem1": _run_theorem1,
-    "wilking": _run_wilking,
-    "classify": _run_classify,
+# name: (help, what adds the subcommand's arguments, its runner)
+_SUBCOMMANDS = {
+    "oracle": ("bracket and inner product vs the matrix model",
+               lambda p: _common(p, 10000), _run_oracle),
+    "lemma1": ("dichotomy over commuting planes",
+               _lemma1_arguments, _run_lemma1),
+    "theorem1": ("curvature positivity at small deformation times",
+                 _theorem1_arguments, _run_theorem1),
+    "wilking": ("nonpositive planes for random homogeneous metrics",
+                lambda p: _common(p, 1000), _run_wilking),
+    "classify": ("canonicalize one commuting plane",
+                 _classify_arguments, _run_classify),
 }
 
 
+def build_parser(*, only: str | None = None) -> argparse.ArgumentParser:
+    """A new sp2curv parser.
+
+    With ``only``, the parser has that one subcommand, but its usage line
+    still names them all.  It reads a command line that names ``only``
+    exactly as the full parser does, and builds in about a third of the
+    time.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sp2curv",
+        description="Curvature verification suites for the deformed "
+                    "homogeneous metrics on Sp(2)/U(1).")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    # The metavar is what the full parser shows for its choices.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None)
+    for name in [only] if only else _SUBCOMMANDS:
+        help_, add_arguments, _ = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level has no option that takes a value, so a leading
+    # subcommand name is the subcommand this command line runs.
+    parser = build_parser(only=argv[0] if argv and argv[0] in _SUBCOMMANDS
+                          else None)
     args = parser.parse_args(argv)
 
     config = {"command": args.command, "tol": args.tol, "format": args.fmt}
@@ -451,7 +470,7 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        results, summary, (header, rows), passed = _RUNNERS[args.command](args)
+        results, summary, (header, rows), passed = _SUBCOMMANDS[args.command][2](args)
     except (ValueError, CanonicalizationError) as exc:
         parser.exit(_USAGE_ERROR, f"sp2curv: error: {exc}\n")
     elapsed = time.perf_counter() - start

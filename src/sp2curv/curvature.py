@@ -15,13 +15,14 @@ with every pairing taken in the metric <a,b> = <a, M_t b>_bi and
 
 The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
-The formula is written once and evaluated in three rings.  At a fixed t the
+The formula is written once and evaluated in four rings.  At a fixed t the
 values are (10,) arrays and M_t^{-1} is the exact block inverse; for many
 planes at one fixed t they are (n, 10) arrays, one plane vector per row,
 each row computed as if it were alone.  At t = 0 the values are degree-4
 truncated power series (jets) in t: M_t^{-1} enters through its Neumann
 series, so every coefficient through t^4 is exact up to rounding, with no
-step-size error.
+step-size error.  Jets of many planes, each under its own deformation, are
+(k, n, 10) arrays, again each row as if it were alone.
 For commuting pairs the second derivative collapses to the closed form
 C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 """
@@ -243,6 +244,17 @@ def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _sum_axis1(p * q)
 
 
+def _rows_matvec(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """mat @ row for every row of a, summed column by column from the left.
+
+    mat is one matrix for all rows, or one per row.
+    """
+    out = mat[..., 0] * a[:, :1]
+    for j in range(1, a.shape[1]):
+        out += mat[..., j] * a[:, j : j + 1]
+    return out
+
+
 def _block_operator(a3: np.ndarray, b6: np.ndarray) -> np.ndarray:
     """The 10x10 operator: identity on h, a3 on u and b6 on (v, w)."""
     out = np.eye(10)
@@ -267,24 +279,17 @@ class _RowsRing:
         self._op = _block_operator(m.operator_a(), m.operator_block6())
         self._inv = _block_operator(m._inv_a, m._inv_block6)
 
-    @staticmethod
-    def _times(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """mat @ row for every row of a, summed column by column from the left."""
-        out = a[:, :1] * mat[:, 0]
-        for j in range(1, mat.shape[1]):
-            out += a[:, j : j + 1] * mat[:, j]
-        return out
-
     def apply(self, a: np.ndarray) -> np.ndarray:
-        return self._times(self._op, a)
+        return _rows_matvec(self._op, a)
 
     def solve(self, a: np.ndarray) -> np.ndarray:
-        return self._times(self._inv, a)
+        return _rows_matvec(self._inv, a)
 
 
-# Rows evaluated at once by _sectional_curvature_rows; it changes no
-# value.  At 256 rows the temporaries stay in cache: a 10k-plane scan
-# took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.
+# Rows evaluated at once by _sectional_curvature_rows and
+# _numerator_jet_rows; it changes no value.  A 10k-plane fixed-t scan
+# took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.  The
+# jets of 10k planes took 301-556 ms at 256 and 249-302 ms at 1024.
 _ROWS_CHUNK = 256
 
 
@@ -344,15 +349,39 @@ def sectional_curvature(m: DeformedMetric, plane: TangentPlane) -> CurvatureRepo
 # ---- jets of C at t = 0 ----
 
 
+def _cauchy(p, q, mul) -> list:
+    """Coefficients of the product of two jets, truncated after t^4.
+
+    Coefficient k is mul(p[i], q[k - i]) summed from the lowest i up.
+    """
+    out = []
+    for k in range(min(_JET_ORDER, len(p) + len(q) - 2) + 1):
+        lo, hi = max(0, k - len(q) + 1), min(k, len(p) - 1)
+        acc = mul(p[lo], q[k - lo])
+        for i in range(lo + 1, hi + 1):
+            acc = acc + mul(p[i], q[k - i])
+        out.append(acc)
+    return out
+
+
 class _JetRing:
     """Values are (k, 10) arrays of coefficients of t^0 .. t^(k-1), k <= 5.
 
-    Products are Cauchy products truncated after t^4, each coefficient
-    summed from the lowest power of the left factor up.  M_t = I + tL
-    shifts L p up one power, and M_t^{-1} is its Neumann series.
+    Products are Cauchy products truncated after t^4.  M_t = I + tL
+    shifts L p up one power, and M_t^{-1} is its Neumann series.  The
+    loops are written over the leading (power) axis only; ``_br``,
+    ``_dot`` and ``_act`` (a 9x9 coefficient matrix acting on the m part
+    of one coefficient) are the primitives.
     """
 
     __slots__ = ("lam9", "neumann")
+    _br = staticmethod(_bracket_arr)
+    _dot = staticmethod(operator.matmul)
+    _wrap = Jet
+
+    @staticmethod
+    def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return mat @ a[1:]
 
     def __init__(self, d: MetricDeformation):
         self.lam9 = d.matrix9
@@ -361,38 +390,76 @@ class _JetRing:
         for _ in range(_JET_ORDER):
             self.neumann.append(-self.lam9 @ self.neumann[-1])
 
-    @staticmethod
-    def br(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        out = []
-        for k in range(min(_JET_ORDER, len(p) + len(q) - 2) + 1):
-            terms = [_bracket_arr(p[i], q[k - i])
-                     for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1)]
-            out.append(sum(terms[1:], terms[0]))
-        return np.array(out)
+    def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.array(_cauchy(p, q, self._br))
 
-    @staticmethod
-    def inner(p: np.ndarray, q: np.ndarray) -> Jet:
-        coeff = [0.0] * (_JET_ORDER + 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q[: _JET_ORDER + 1 - i]):
-                coeff[i + j] += float(a @ b)
-        return Jet(coeff)
+    def inner(self, p: np.ndarray, q: np.ndarray):
+        return self._wrap(_cauchy(p, q, self._dot))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        out = np.zeros((min(len(p) + 1, _JET_ORDER + 1), 10))
+        out = np.zeros((min(len(p) + 1, _JET_ORDER + 1),) + p.shape[1:])
         out[: len(p)] = p[: len(out)]
         for k, a in enumerate(p[: len(out) - 1], 1):
-            out[k, 1:] += self.lam9 @ a[1:]
+            out[k, ..., 1:] += self._act(self.lam9, a)
         return out
 
     def solve(self, p: np.ndarray) -> np.ndarray:
         """The h slot passes through; (M_t^{-1} p)_k = sum_j (-L)^(k-j) p_j."""
-        out = np.zeros((_JET_ORDER + 1, 10))
-        out[: len(p), 0] += p[:, 0]
+        out = np.zeros((_JET_ORDER + 1,) + p.shape[1:])
+        out[: len(p), ..., 0] += p[..., 0]
         for j, a in enumerate(p):
             for i, n in enumerate(self.neumann[: _JET_ORDER + 1 - j]):
-                out[i + j, 1:] += n @ a[1:]
+                out[i + j, ..., 1:] += self._act(n, a)
         return out
+
+
+def _pad_rows(coefficients: list) -> np.ndarray:
+    out = np.zeros((_JET_ORDER + 1,) + coefficients[0].shape)
+    out[: len(coefficients)] = coefficients
+    return out
+
+
+class _JetRowsRing(_JetRing):
+    """Values are (k, n, 10) arrays: row r holds a jet of plane r.
+
+    Each row carries its own L (``lam9`` is (n, 9, 9), ``neumann`` is
+    (5, n, 9, 9)), and every sum runs in a fixed order, so no row's value
+    depends on how many rows are evaluated together.  Inner products
+    are (5, n) coefficient arrays.
+    """
+
+    __slots__ = ()
+    _br = staticmethod(_bracket_rows)
+    _dot = staticmethod(_rows_dot)
+    _wrap = staticmethod(_pad_rows)
+
+    @staticmethod
+    def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return _rows_matvec(mat, a[:, 1:])
+
+    def __init__(self, lam9: np.ndarray, neumann: np.ndarray):
+        self.lam9 = lam9
+        self.neumann = neumann
+
+
+def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
+                        y: np.ndarray) -> np.ndarray:
+    """Degree-4 jets of C for the planes spanned by the rows of x, y.
+
+    Row r is taken under the deformation pool[which[r]].  Returns the
+    (5, n) coefficients; the Neumann powers of each pool deformation are
+    computed once, as numerator_jet computes them.
+    """
+    lam9 = np.array([d.matrix9 for d in pool])
+    neumann = np.empty((_JET_ORDER + 1,) + lam9.shape)
+    for j, d in enumerate(pool):
+        neumann[:, j] = _JetRing(d).neumann
+    out = np.empty((_JET_ORDER + 1, len(x)))
+    for lo in range(0, len(x), _ROWS_CHUNK):
+        rows = slice(lo, lo + _ROWS_CHUNK)
+        ring = _JetRowsRing(lam9[which[rows]], neumann[:, which[rows]])
+        out[:, rows] = _six_terms(ring, x[None, rows], y[None, rows])
+    return out
 
 
 def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sp2curv
 from sp2curv import (
     DeformedMetric,
     SpElement,
@@ -13,7 +17,7 @@ from sp2curv import (
     reference_deformation,
     sectional_curvature,
 )
-from sp2curv.cli import main
+from sp2curv.cli import build_parser, main
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
 T0_Y = "0,0,0,0,0,0,0,0,1,0"
@@ -97,6 +101,74 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---- the parser main builds ----
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--samples", "5", "--format", "csv"],
+    ["lemma1", "--family", "F3", "--adversarial", "--out", "r.json"],
+    ["lemma1", "--family", "F5"],
+    ["theorem1", "--t", "0.001,-0.01", "--tol", "1e-9"],
+    ["theorem1", "--t", "x"],
+    ["wilking", "--seed", "3"],
+    ["wilking", "--samples"],
+    ["classify", T0_X, T0_Y, "--format", "text"],
+    ["classify", T0_X],
+    ["classify", T0_X, T0_Y, "--frobnicate"],
+    ["classify", "--help"],
+])
+def test_parser_for_one_subcommand_reads_as_the_full_parser(argv, capsys):
+    full = _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(only=argv[0]), argv, capsys) == full
+
+
+def _without_timing(out):
+    if not out.startswith("{"):
+        return out
+    payload = json.loads(out)
+    payload.pop("timing_seconds")
+    return json.dumps(payload, sort_keys=True)
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _without_timing(captured.out), captured.err
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp2curv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "sp2curv", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, _without_timing(done.stdout), done.stderr
+
+
+def test_repeated_main_calls_give_what_fresh_processes_give(capsys):
+    calls = [
+        ["classify", T0_X, T0_Y],
+        ["classify", "1,0,0,0,1,0,0,0,0", "0,1,0,0,0,0,0,0,0"],
+        ["lemma1", "--frobnicate"],
+        ["lemma1", "--samples", "20"],
+    ]
+    got = [_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 2, 2, 0]
+    for argv, result in zip(calls, got):
+        assert result == _fresh_process(argv), argv
 
 
 # ---- classify ----

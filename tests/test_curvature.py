@@ -327,3 +327,37 @@ def test_batched_curvature_rejects_degenerate_row():
         y_bad[5] = bad
         with pytest.raises(ValueError, match="degenerate plane"):
             _sectional_curvature_rows(metric, x, y_bad)
+
+
+# ---- jets of many planes at once ----
+
+
+def _jet_pool(seed, count):
+    return [random_deformation(np.random.default_rng([seed, 7, j]))
+            for j in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       deformations=st.integers(min_value=1, max_value=4))
+def test_batched_jets_match_scalar(seed, deformations):
+    planes, x, y = _mixed_planes(seed, 5)
+    pool = _jet_pool(seed, deformations)
+    which = np.arange(len(planes)) % deformations
+    jets = curvature._numerator_jet_rows(pool, which, x, y)
+    for r, plane in enumerate(planes):
+        scalar = numerator_jet(pool[which[r]], plane).c
+        assert np.all(np.abs(jets[:, r] - scalar)
+                      <= 1e-12 * np.maximum(1.0, np.abs(scalar))), r
+
+
+def test_batched_jets_do_not_depend_on_chunk_size(monkeypatch):
+    _, x, y = _mixed_planes(3, 40)
+    pool = [reference_deformation()] + _jet_pool(3, 6)
+    which = np.arange(len(x)) % len(pool)
+    whole = curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64)
+    for chunk in (1, 7):
+        monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
+        np.testing.assert_array_equal(
+            curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64),
+            whole)

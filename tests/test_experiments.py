@@ -9,6 +9,7 @@ from sp2curv import (
     classify_plane,
     measure_sigma,
     random_admissible_metric,
+    random_deformation,
     run_baseline_suite,
     run_lemma0_suite,
     run_oracle_suite,
@@ -29,7 +30,12 @@ from sp2curv.algebra import (
     bi_inner_trace_form,
     bracket_oracle,
 )
-from sp2curv.curvature import _sectional_curvature_rows
+from sp2curv.curvature import (
+    _numerator_jet_rows,
+    _sectional_curvature_rows,
+    numerator_jet,
+    second_derivative_closed_form,
+)
 from sp2curv.experiments import _ORACLE_CHUNK
 
 from conftest import element
@@ -203,6 +209,55 @@ def test_lemma0_suite_passes():
     assert report.max_abs_c1 <= 1e-10
     assert report.min_c2 >= -1e-10
     assert report.max_closed_form_gap <= 1e-10
+
+
+def test_lemma0_fails_on_nan_jet(monkeypatch):
+    def with_nan(pool, which, x, y):
+        jet = _numerator_jet_rows(pool, which, x, y)
+        jet[:, 3] = np.nan
+        return jet
+
+    monkeypatch.setattr(experiments, "_numerator_jet_rows", with_nan)
+    report = run_lemma0_suite(0, 20, deformations=5)
+    assert not report.passed
+    assert np.isnan(report.max_abs_c0) and np.isnan(report.min_c2)
+
+
+def test_lemma0_fails_on_nan_closed_form(monkeypatch):
+    calls = []
+
+    def with_nan(d, plane):
+        calls.append(None)
+        if len(calls) == 4:
+            return np.nan
+        return second_derivative_closed_form(d, plane)
+
+    monkeypatch.setattr(experiments, "second_derivative_closed_form", with_nan)
+    report = run_lemma0_suite(0, 20, deformations=5)
+    assert not report.passed
+    assert np.isnan(report.max_closed_form_gap)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lemma0_suite_matches_per_plane_jets(seed):
+    report = run_lemma0_suite(seed, 160, deformations=100)
+    pool = [random_deformation(np.random.default_rng([seed, 2, j]))
+            for j in range(100)]
+    c0 = c1 = gap = 0.0
+    c2 = np.inf
+    for i in range(160):
+        plane = sample_commuting_plane(seed, i)[0].orthonormalized()
+        jet = numerator_jet(pool[i % 100], plane)
+        c0 = max(c0, abs(jet[0]))
+        c1 = max(c1, abs(jet[1]))
+        c2 = min(c2, jet[2])
+        gap = max(gap, abs(2.0 * jet[2]
+                           - second_derivative_closed_form(pool[i % 100], plane)))
+    assert report.passed == (max(c0, c1, gap, -c2) <= 1e-10)
+    assert report.min_c2 == pytest.approx(c2, rel=1e-12)
+    for got, want in ((report.max_abs_c0, c0), (report.max_abs_c1, c1),
+                      (report.max_closed_form_gap, gap)):
+        assert got == pytest.approx(want, rel=0.0, abs=1e-14)
 
 
 # ---- dichotomy sweep ----
