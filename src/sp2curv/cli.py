@@ -232,6 +232,7 @@ def _run_wilking(cfg):
         "case_counts": report.case_counts,
         "max_k_value": report.max_k_value,
         "max_commutator_residual": report.max_commutator_residual,
+        "recheck_headroom": report.recheck_headroom,
         "failures": [
             {
                 "metric_index": i,

@@ -16,9 +16,10 @@ with every pairing taken in the metric <a,b> = <a, M_t b>_bi and
 The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
 The formula is written once and evaluated in four rings.  At a fixed t the
-values are (10,) arrays and M_t^{-1} is the exact block inverse; for many
-planes at one fixed t they are (n, 10) arrays, one plane vector per row,
-each row computed as if it were alone.  At t = 0 the values are degree-4
+values are (10,) arrays and M_t^{-1} is the exact block inverse.  For many
+planes they are (n, 10) arrays, one plane vector per row, each row computed
+as if it were alone; the rows share one metric (a fixed-t scan) or carry
+one metric each (the Wilking suite).  At t = 0 the values are degree-4
 truncated power series (jets) in t: M_t^{-1} enters through its Neumann
 series, so every coefficient through t^4 is exact up to rounding, with no
 step-size error.  Jets of many planes, each under its own deformation, are
@@ -256,28 +257,34 @@ def _rows_matvec(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _block_operator(a3: np.ndarray, b6: np.ndarray) -> np.ndarray:
-    """The 10x10 operator: identity on h, a3 on u and b6 on (v, w)."""
-    out = np.eye(10)
-    out[1:4, 1:4] = a3
-    out[4:10, 4:10] = b6
+    """The 10x10 operator: identity on h, a3 on u and b6 on (v, w).
+
+    Stacks of n blocks give an (n, 10, 10) stack of operators.
+    """
+    out = np.zeros(a3.shape[:-2] + (10, 10))
+    out[..., 0, 0] = 1.0
+    out[..., 1:4, 1:4] = a3
+    out[..., 4:10, 4:10] = b6
     return out
 
 
 class _RowsRing:
     """Values are (n, 10) arrays, one plane vector per row, at a fixed t.
 
-    M_t and its exact block inverse act on every row at once.  Every sum
-    runs in a fixed order, so no row's value depends on how many rows are
-    evaluated together.
+    A metric M and its exact block inverse act on every row at once.  The
+    blocks of M and M^{-1} are those of one metric for every row, or
+    stacks holding one metric per row.  Every sum runs in a fixed order,
+    so no row's value depends on how many rows are evaluated together.
     """
 
     __slots__ = ("_op", "_inv")
     br = staticmethod(_bracket_rows)
     inner = staticmethod(_rows_dot)
 
-    def __init__(self, m: DeformedMetric):
-        self._op = _block_operator(m.operator_a(), m.operator_block6())
-        self._inv = _block_operator(m._inv_a, m._inv_block6)
+    def __init__(self, op_a: np.ndarray, op_b6: np.ndarray,
+                 inv_a: np.ndarray, inv_b6: np.ndarray):
+        self._op = _block_operator(op_a, op_b6)
+        self._inv = _block_operator(inv_a, inv_b6)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return _rows_matvec(self._op, a)
@@ -286,30 +293,37 @@ class _RowsRing:
         return _rows_matvec(self._inv, a)
 
 
-# Rows evaluated at once by _sectional_curvature_rows and
-# _numerator_jet_rows; it changes no value.  A 10k-plane fixed-t scan
-# took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.  The
-# jets of 10k planes took 301-556 ms at 256 and 249-302 ms at 1024.
+# Rows evaluated at once by _sectional_curvature_rows and by
+# _numerator_jet_rows; neither changes a value.  A 10k-plane fixed-t
+# scan took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.
+# The jets of 10k planes took 301-556 ms at 256 and 249-302 ms at 1024.
 _ROWS_CHUNK = 256
+_JET_CHUNK = 1024
+
+
+def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray):
+    """C and S for the planes spanned by the rows of (n, 10) arrays x, y.
+
+    Raises ValueError, like sectional_curvature, if any S is nonpositive.
+    """
+    mx, my = ring.apply(x), ring.apply(y)
+    xmy = _rows_dot(x, my)
+    s = _rows_dot(x, mx) * _rows_dot(y, my) - xmy * xmy
+    if np.any(s <= 0.0):
+        raise ValueError("degenerate plane: nonpositive metric Gram determinant")
+    return _six_terms(ring, x, y), s
 
 
 def _sectional_curvature_rows(m: DeformedMetric, x: np.ndarray,
                               y: np.ndarray) -> np.ndarray:
-    """K = C / S for the planes spanned by the rows of (n, 10) arrays x, y.
-
-    Raises ValueError, like sectional_curvature, if any plane has a
-    nonpositive metric Gram determinant.
-    """
-    ring = _RowsRing(m)
+    """K = C / S for the planes spanned by the rows of (n, 10) arrays x, y."""
+    ring = _RowsRing(m.operator_a(), m.operator_block6(), m._inv_a,
+                     m._inv_block6)
     k = np.empty(len(x))
     for lo in range(0, len(x), _ROWS_CHUNK):
-        xs, ys = x[lo : lo + _ROWS_CHUNK], y[lo : lo + _ROWS_CHUNK]
-        mx, my = ring.apply(xs), ring.apply(ys)
-        xmy = _rows_dot(xs, my)
-        s = _rows_dot(xs, mx) * _rows_dot(ys, my) - xmy * xmy
-        if np.any(s <= 0.0):
-            raise ValueError("degenerate plane: nonpositive metric Gram determinant")
-        k[lo : lo + _ROWS_CHUNK] = _six_terms(ring, xs, ys) / s
+        rows = slice(lo, lo + _ROWS_CHUNK)
+        c, s = _curvature_rows(ring, x[rows], y[rows])
+        k[rows] = c / s
     return k
 
 
@@ -455,8 +469,8 @@ def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
     for j, d in enumerate(pool):
         neumann[:, j] = _JetRing(d).neumann
     out = np.empty((_JET_ORDER + 1, len(x)))
-    for lo in range(0, len(x), _ROWS_CHUNK):
-        rows = slice(lo, lo + _ROWS_CHUNK)
+    for lo in range(0, len(x), _JET_CHUNK):
+        rows = slice(lo, lo + _JET_CHUNK)
         ring = _JetRowsRing(lam9[which[rows]], neumann[:, which[rows]])
         out[:, rows] = _six_terms(ring, x[None, rows], y[None, rows])
     return out

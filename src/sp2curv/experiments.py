@@ -22,6 +22,7 @@ so results are independent of iteration order and process count.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,6 @@ from .algebra import (
     bracket,
     bi_inner_trace_form,
     from_matrix,
-    norm,
     to_matrix,
 )
 from .cartan import (
@@ -47,10 +47,13 @@ from .cartan import (
 )
 from .curvature import (
     TangentPlane,
+    _RowsRing,
+    _curvature_rows,
     _numerator_jet_rows,
+    _rows_dot,
     _sectional_curvature_rows,
+    _six_terms,
     is_commuting_pair,
-    numerator,
     numerator_jet,
     second_derivative_closed_form,
     sectional_curvature,
@@ -58,6 +61,7 @@ from .curvature import (
 from .metric import (
     DeformedMetric,
     MetricDeformation,
+    _metric_blocks,
     random_admissible_metric,
     random_deformation,
     reference_deformation,
@@ -651,56 +655,111 @@ class WilkingCertificate(NamedTuple):
     case_tag: str
 
 
+_WILKING_CASES = ("u_eigenvector", "vw_aligned", "vw_generic")
+
+
+def _signed_rows(v: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit length, with its largest entry positive."""
+    v = v / np.sqrt(_rows_dot(v, v))[:, None]
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], 1)
+    return np.where(pivot > 0, v, -v)
+
+
+def _wilking_rows(op_a: np.ndarray, op_b6: np.ndarray, ring: _RowsRing):
+    """The certified nonpositive plane of every metric in a stack.
+
+    op_a and op_b6 are the (n, 3, 3) and (n, 6, 6) metric blocks, and
+    ring holds the same metrics.  Returns x, z and y as (n, 10) rows, and
+    k, the numerator, the smallest eigenvalue and the _WILKING_CASES index
+    as (n,) arrays; each row gets the bits it gets alone.  The smallest
+    eigenvalue lives either on the u-block or on the paired (v, w)-block.
+    In the first case the eigenvector u* is copied into the v slot to
+    produce a commuting partner; in the second, a rotation in the (v, w)
+    pair either aligns the eigenvector with a single direction (dependent
+    case) or empties its v.w overlap so a pure-v companion commutes.
+    """
+    eig_a, vec_a = np.linalg.eigh(op_a)
+    eig_b, vec_b = np.linalg.eigh(op_b6)
+    on_u = eig_a[:, 0] <= eig_b[:, 0]
+    on_vw = ~on_u
+    x = np.zeros((len(on_u), 10))
+    z = np.zeros_like(x)
+    x[on_u, 1:4] = z[on_u, 4:7] = _signed_rows(vec_a[on_u, :, 0])
+    x[on_vw, 4:10] = _signed_rows(vec_b[on_vw, :, 0])
+    svals = np.linalg.svd(x[on_vw, 4:10].reshape(-1, 2, 3), compute_uv=False)
+    aligned = np.zeros_like(on_u)
+    aligned[on_vw] = svals[:, 1] <= 1e-8 * svals[:, 0]
+    vt = np.linalg.svd(x[aligned, 4:10].reshape(-1, 2, 3))[2]
+    z[aligned, 1:4] = _signed_rows(vt[:, 0])
+    # Rotating (v, w) by ad_h(s) empties the v.w overlap; the unit v part
+    # of the rotated x, rotated back by ad_h(-s), commutes with x.
+    generic = on_vw & ~aligned
+    v, w = x[generic, 4:7], x[generic, 7:10]
+    angle = 0.25 * np.arctan2(2.0 * _rows_dot(v, w),
+                              _rows_dot(v, v) - _rows_dot(w, w))
+    cos, sin = np.cos(2.0 * angle)[:, None], np.sin(2.0 * angle)[:, None]
+    r = cos * v + sin * w
+    r = r / np.sqrt(_rows_dot(r, r))[:, None]
+    z[generic, 4:7], z[generic, 7:10] = cos * r, sin * r
+    y = ring.solve(z)
+    c, s = _curvature_rows(ring, x, y)
+    return (x, z, y, c / s, c, np.minimum(eig_a[:, 0], eig_b[:, 0]),
+            np.where(on_u, 0, np.where(aligned, 1, 2)))
+
+
+def _wilking_recheck(ring: _RowsRing, x, z, y, lam, c, k, tol: float):
+    """Every step of the nonpositivity estimate, as (n, 10) residuals and bounds.
+
+    A certificate passes where no residual exceeds its bound; a NaN
+    fails.  The steps: [x, z] = 0; M y = z; x is an eigenvector for lam;
+    w = [x, y] stays inside m; [x, My] + [y, Mx] = -lam w; the numerator
+    c collapses to three terms in w; the eigenvalue bounds squeeze those
+    terms below zero; and k <= 1e-10.
+    """
+    def norm(a):
+        return np.sqrt(_rows_dot(a, a))
+
+    mx, my, w = ring.apply(x), ring.apply(y), _bracket_rows(x, y)
+    w_w, w_mw = _rows_dot(w, w), _rows_dot(w, ring.apply(w))
+    w_minv_w = _rows_dot(w, ring.solve(w))
+    three_term = -0.75 * w_mw + 0.5 * lam * w_w + 0.25 * lam ** 2 * w_minv_w
+    resid = _bracket_rows(x, my) + _bracket_rows(y, mx) + lam[:, None] * w
+    scale = tol * np.maximum(w_w, 1.0)
+    steps = [
+        (norm(_bracket_rows(x, z)), 1e-10),
+        (norm(my - z), tol * np.maximum(norm(z), 1.0)),
+        (norm(mx - lam[:, None] * x), tol * norm(x)),
+        (np.abs(w[:, 0]), tol * np.maximum(norm(w), 1.0)),
+        (np.max(np.abs(resid), axis=1), tol * np.maximum(norm(w) * np.abs(lam), 1.0)),
+        (np.abs(c - three_term), scale),
+        (lam * w_w - w_mw, scale),
+        (w_minv_w - w_w / lam, scale),
+        (three_term, scale),
+        (k, 1e-10),
+    ]
+    return tuple(np.column_stack(np.broadcast_arrays(*side)) for side in zip(*steps))
+
+
+def _one_metric(metric: DeformedMetric):
+    """The blocks of one metric as stacks of one, and their ring."""
+    op_a, op_b6 = metric.operator_a()[None], metric.operator_block6()[None]
+    return op_a, op_b6, _RowsRing(op_a, op_b6, metric._inv_a[None],
+                                  metric._inv_block6[None])
+
+
+def _certificate(rows: tuple, i: int) -> WilkingCertificate:
+    x, z, y, k, c, lam, case = (r[i] for r in rows)
+    return WilkingCertificate(tuple(x.tolist()), tuple(z.tolist()),
+                              tuple(y.tolist()), float(k), float(c),
+                              float(lam), _WILKING_CASES[case])
+
+
 def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
     """Construct the certified nonpositive plane for one metric.
 
-    The smallest metric eigenvalue lives either on the u-block or on
-    the paired (v, w)-block.  In the first case the eigenvector u* is
-    copied into the v slot to produce a commuting partner; in the
-    second, a rotation in the (v, w) pair either aligns the eigenvector
-    with a single direction (dependent case) or empties its v.w overlap
-    so a pure-v companion commutes.
+    It is the metric's row of verify_wilking, to the bit.
     """
-    eig_a, vec_a = np.linalg.eigh(metric.operator_a())
-    eig_b, vec_b = np.linalg.eigh(metric.operator_block6())
-    lam = float(min(eig_a[0], eig_b[0]))
-
-    def signed(v):
-        v = v / np.linalg.norm(v)
-        pivot = int(np.argmax(np.abs(v)))
-        return v if v[pivot] > 0 else -v
-
-    if eig_a[0] <= eig_b[0]:
-        u = signed(vec_a[:, 0])
-        x = SpElement(0.0, u, 0.0, 0.0)
-        z = SpElement(0.0, 0.0, u, 0.0)
-        tag = "u_eigenvector"
-    else:
-        vw = signed(vec_b[:, 0])
-        v, w = vw[:3], vw[3:]
-        x = SpElement(0.0, 0.0, v, w)
-        stack = np.vstack([v, w])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        if svals[1] <= 1e-8 * svals[0]:
-            _, _, vt = np.linalg.svd(stack)
-            z = SpElement(0.0, signed(vt[0]), 0.0, 0.0)
-            tag = "vw_aligned"
-        else:
-            s = 0.25 * np.arctan2(2.0 * np.dot(v, w),
-                                  float(np.dot(v, v) - np.dot(w, w)))
-            rotated = ad_h(s, x)
-            z = ad_h(-s, SpElement(0.0, 0.0, _unit(rotated.data[4:7]), 0.0))
-            tag = "vw_generic"
-
-    y = metric.inverse_apply(z)
-    plane = TangentPlane(x, y)
-    report = sectional_curvature(metric, plane)
-    return WilkingCertificate(
-        x=tuple(float(t) for t in x.data),
-        z=tuple(float(t) for t in z.data),
-        y=tuple(float(t) for t in y.data),
-        k_value=float(report.k_value), numerator_value=float(report.c_value),
-        smallest_eigenvalue=lam, case_tag=tag)
+    return _certificate(_wilking_rows(*_one_metric(metric)), 0)
 
 
 def verify_wilking_inequalities(metric: DeformedMetric,
@@ -711,58 +770,43 @@ def verify_wilking_inequalities(metric: DeformedMetric,
     The chain: w = [x, y] stays inside m; the metric satisfies
     [x, My] + [y, Mx] = -lam [x, y]; the numerator collapses to three
     terms in w; the eigenvalue bounds squeeze those terms below zero.
+    It is verify_wilking's recheck on a stack of one.
     """
-    x = SpElement.from_array(np.asarray(cert.x))
-    z = SpElement.from_array(np.asarray(cert.z))
-    y = SpElement.from_array(np.asarray(cert.y))
-    lam = cert.smallest_eigenvalue
-
-    if norm(bracket(x, z)) > 1e-10:
-        return False
-    if norm(metric.apply(y) - z) > tol * max(norm(z), 1.0):
-        return False
-    # x is an eigenvector for the smallest eigenvalue.
-    if norm(metric.apply(x) - SpElement.from_array(lam * x.data)) > tol * norm(x):
-        return False
-
-    w = bracket(x, y)
-    scale = max(bi_inner(w, w), 1.0)
-    if abs(w.data[0]) > tol * max(norm(w), 1.0):
-        return False
-
-    resid = (bracket(x, metric.apply(y)).data
-             + bracket(y, metric.apply(x)).data
-             + lam * w.data)
-    if float(np.max(np.abs(resid))) > tol * max(norm(w) * abs(lam), 1.0):
-        return False
-
-    w_mw = bi_inner(w, metric.apply(w))
-    w_w = bi_inner(w, w)
-    w_minv_w = bi_inner(w, metric.inverse_apply(w))
-    three_term = -0.75 * w_mw + 0.5 * lam * w_w + 0.25 * lam ** 2 * w_minv_w
-    plane = TangentPlane(x, y)
-    if abs(numerator(metric, plane) - three_term) > tol * scale:
-        return False
-
-    # Eigenvalue bounds that force the three-term sum nonpositive.
-    if w_mw < lam * w_w - tol * scale:
-        return False
-    if w_minv_w > w_w / lam + tol * scale:
-        return False
-    if three_term > tol * scale:
-        return False
-    return cert.k_value <= 1e-10
+    _, _, ring = _one_metric(metric)
+    x, z, y = (np.array([v], dtype=float) for v in (cert.x, cert.z, cert.y))
+    residuals, bounds = _wilking_recheck(
+        ring, x, z, y, np.array([cert.smallest_eigenvalue]),
+        _six_terms(ring, x, y), np.array([cert.k_value]), tol)
+    return bool(np.all(residuals <= bounds))
 
 
 class WilkingReport(NamedTuple):
+    """``recheck_headroom`` is the largest ratio of a recheck residual to
+    its bound over the passing certificates (NaN if none passes)."""
+
     metrics: int
     max_k_value: float
     max_commutator_residual: float
+    recheck_headroom: float
     case_counts: dict
     certificates: list
     failures: list
     elapsed_seconds: float
     passed: bool
+
+
+def _wilking_verdicts(triples: list, tol: float):
+    """The rows of the triples read as metrics, the recheck's residuals
+    and bounds at 1e-9, and the (n,) pass mask."""
+    op_a, op_b6, inv_a, inv_b6, _ = _metric_blocks(
+        np.array([t.A for t in triples]) - np.eye(3),
+        np.array([t.block6 for t in triples]) - np.eye(6), 1.0)
+    ring = _RowsRing(op_a, op_b6, inv_a, inv_b6)
+    rows = _wilking_rows(op_a, op_b6, ring)
+    x, z, y, k, c, lam, _ = rows
+    residuals, bounds = _wilking_recheck(ring, x, z, y, lam, c, k, 1e-9)
+    ok = (k <= tol) & (residuals[:, 0] <= tol) & np.all(residuals <= bounds, axis=1)
+    return rows, residuals, bounds, ok
 
 
 def verify_wilking(seed: int, n_metrics: int = 1000, *,
@@ -771,36 +815,27 @@ def verify_wilking(seed: int, n_metrics: int = 1000, *,
 
     Metrics are rejection-sampled with off-diagonal blocks comparable
     in size to the diagonal ones, so the antisymmetric coupling is
-    genuinely exercised.  Every certificate must recheck at 1e-9.
+    genuinely exercised.  Every certificate must recheck at 1e-9.  The
+    metrics are certified and rechecked as one stack.
     """
     if n_metrics < 1:
         raise ValueError("n_metrics must be positive")
     start = time.perf_counter()
-    max_k = -np.inf
-    max_resid = 0.0
-    case_counts: dict = {}
-    certificates = []
-    failures = []
-    for i in range(n_metrics):
-        triple = random_admissible_metric(np.random.default_rng([seed, 3, i]))
-        metric = triple.as_metric()
-        cert = wilking_pair(metric)
-        certificates.append(cert)
-        resid = norm(bracket(SpElement.from_array(np.asarray(cert.x)),
-                             SpElement.from_array(np.asarray(cert.z))))
-        max_k = max(max_k, cert.k_value)
-        max_resid = max(max_resid, resid)
-        case_counts[cert.case_tag] = case_counts.get(cert.case_tag, 0) + 1
-        ok = (cert.k_value <= tol and resid <= tol
-              and verify_wilking_inequalities(metric, cert))
-        if not ok:
-            failures.append((i, cert))
+    triples = [random_admissible_metric(np.random.default_rng([seed, 3, i]))
+               for i in range(n_metrics)]
+    rows, residuals, bounds, ok = _wilking_verdicts(triples, tol)
+    certificates = [_certificate(rows, i) for i in range(n_metrics)]
     elapsed = time.perf_counter() - start
+    # np.max keeps a NaN, which the builtin max drops.
     return WilkingReport(
-        metrics=n_metrics, max_k_value=float(max_k),
-        max_commutator_residual=max_resid, case_counts=case_counts,
-        certificates=certificates, failures=failures,
-        elapsed_seconds=elapsed, passed=not failures)
+        metrics=n_metrics, max_k_value=float(np.max(rows[3])),
+        max_commutator_residual=float(np.max(residuals[:, 0])),
+        recheck_headroom=float(np.max(residuals[ok] / bounds[ok]))
+        if ok.any() else float("nan"),
+        case_counts=dict(Counter(c.case_tag for c in certificates)),
+        certificates=certificates,
+        failures=[(i, certificates[i]) for i in np.flatnonzero(~ok).tolist()],
+        elapsed_seconds=elapsed, passed=bool(ok.all()))
 
 
 # ---------------------------------------------------------------------------

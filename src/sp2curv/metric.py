@@ -139,20 +139,9 @@ class DeformedMetric:
     def __init__(self, deformation: MetricDeformation, t: float):
         self.deformation = deformation
         self.t = float(t)
-        op_a = np.eye(3) + self.t * deformation.A
-        op_b6 = np.eye(6) + self.t * deformation.block6
-        eig_a = np.linalg.eigvalsh(op_a)
-        eig_b6 = np.linalg.eigvalsh(op_b6)
-        self._min_eig = float(min(eig_a[0], eig_b6[0]))
-        if self._min_eig <= _EIG_FLOOR:
-            raise ValueError(
-                f"I + tL is not positive definite at t={self.t!r} "
-                f"(smallest eigenvalue {self._min_eig:.3e})"
-            )
-        self._op_a = op_a
-        self._op_block6 = op_b6
-        self._inv_a = np.linalg.inv(op_a)
-        self._inv_block6 = np.linalg.inv(op_b6)
+        (self._op_a, self._op_block6, self._inv_a, self._inv_block6,
+         min_eig) = _metric_blocks(deformation.A, deformation.block6, self.t)
+        self._min_eig = float(min_eig)
         for m in (self._op_a, self._op_block6, self._inv_a, self._inv_block6):
             m.setflags(write=False)
 
@@ -199,6 +188,25 @@ class DeformedMetric:
 
     def __repr__(self) -> str:
         return f"DeformedMetric(t={self.t!r}, deformation={self.deformation!r})"
+
+
+def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):
+    """I + t a, I + t block6, their inverses and the smallest eigenvalue.
+
+    For one metric, or for (n, 3, 3) and (n, 6, 6) stacks, each block
+    getting the bits it gets alone.  Raises ValueError before inverting
+    unless every smallest eigenvalue is above 1e-9.
+    """
+    op_a = np.eye(3) + t * a
+    op_b6 = np.eye(6) + t * block6
+    min_eig = np.minimum(np.linalg.eigvalsh(op_a)[..., 0],
+                         np.linalg.eigvalsh(op_b6)[..., 0])
+    if np.any(min_eig <= _EIG_FLOOR):
+        raise ValueError(
+            f"I + tL is not positive definite at t={t!r} "
+            f"(smallest eigenvalue {float(np.min(min_eig)):.3e})"
+        )
+    return op_a, op_b6, np.linalg.inv(op_a), np.linalg.inv(op_b6), min_eig
 
 
 def random_deformation(seed) -> MetricDeformation:

@@ -88,6 +88,7 @@ def test_wilking_exit_zero(capsys):
                                       "--seed", "7"])
     assert code == 0
     assert payload["results"]["max_k_value"] <= 1e-10
+    assert 0.0 <= payload["results"]["recheck_headroom"] <= 1.0
     assert sum(payload["results"]["case_counts"].values()) == 15
 
 

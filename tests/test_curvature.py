@@ -358,6 +358,7 @@ def test_batched_jets_do_not_depend_on_chunk_size(monkeypatch):
     whole = curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64)
     for chunk in (1, 7):
         monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
+        monkeypatch.setattr(curvature, "_JET_CHUNK", chunk)
         np.testing.assert_array_equal(
             curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64),
             whole)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp2curv import (
     MetricDeformation,
@@ -14,6 +16,7 @@ from sp2curv import (
     run_lemma0_suite,
     run_oracle_suite,
     sample_commuting_plane,
+    sectional_curvature,
     special_plane,
     verify_lemma1,
     verify_theorem1,
@@ -29,6 +32,7 @@ from sp2curv.algebra import (
     bi_inner,
     bi_inner_trace_form,
     bracket_oracle,
+    norm,
 )
 from sp2curv.curvature import (
     _numerator_jet_rows,
@@ -353,6 +357,24 @@ def test_theorem1_accepts_zero_t():
 # ---- nonpositive planes for every metric ----
 
 
+def _scalar_recheck(metric, cert):
+    """Recheck a certificate through the SpElement API, not the rows code.
+
+    k is compared within 1e-9 relative, scaled by the condition number
+    of S = g(x,x) g(y,y) - g(x,y)^2: on nearly singular metrics S is a
+    difference of nearly equal products, and k inherits its rounding.
+    """
+    x, z, y = (SpElement.from_array(np.asarray(v)) for v in (cert.x, cert.z, cert.y))
+    lam = cert.smallest_eigenvalue
+    assert norm(bracket(x, z)) <= 1e-10
+    assert norm(metric.apply(y) - z) <= 1e-9 * max(norm(z), 1.0)
+    assert norm(metric.apply(x) - lam * x) <= 1e-9 * norm(x)
+    report = sectional_curvature(metric, TangentPlane(x, y))
+    gxy = metric.inner(x, y)
+    cond = (metric.inner(x, x) * metric.inner(y, y) + gxy * gxy) / report.s_value
+    assert abs(report.k_value - cert.k_value) <= 1e-9 * abs(report.k_value) * cond
+
+
 def test_wilking_identity_metric():
     metric = MetricDeformation(np.eye(3), np.zeros((3, 3)),
                                np.eye(3)).as_metric()
@@ -361,6 +383,7 @@ def test_wilking_identity_metric():
     assert cert.smallest_eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert abs(cert.k_value) <= 1e-12
     assert verify_wilking_inequalities(metric, cert)
+    _scalar_recheck(metric, cert)
 
 
 def test_wilking_aligned_branch():
@@ -371,6 +394,60 @@ def test_wilking_aligned_branch():
     assert cert.smallest_eigenvalue == pytest.approx(0.8, abs=1e-12)
     assert abs(cert.k_value) <= 1e-12
     assert verify_wilking_inequalities(metric, cert)
+    _scalar_recheck(metric, cert)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_wilking_suite_certificates_by_scalar_route(seed):
+    report = verify_wilking(seed, 8)
+    for i, cert in enumerate(report.certificates):
+        triple = random_admissible_metric(np.random.default_rng([seed, 3, i]))
+        _scalar_recheck(triple.as_metric(), cert)
+
+
+def _bits(cert):
+    return np.array([*cert.x, *cert.z, *cert.y, cert.k_value,
+                     cert.numerator_value, cert.smallest_eigenvalue]).view(np.uint64)
+
+
+def test_wilking_rows_do_not_depend_on_the_stack():
+    # Seed 4 metric 532 is nearly singular, and its certificate fails the
+    # h part of the recheck; the failure must not depend on the stack.
+    seed, n = 4, 1000
+    triples = [random_admissible_metric(np.random.default_rng([seed, 3, i]))
+               for i in range(n)]
+    report = verify_wilking(seed, n)
+    alone = []
+    for i, triple in enumerate(triples):
+        metric = triple.as_metric()
+        cert = wilking_pair(metric)
+        if i == 532 or i % 7 == 0:
+            suite = report.certificates[i]
+            np.testing.assert_array_equal(_bits(cert), _bits(suite))
+            assert cert.case_tag == suite.case_tag
+        if not verify_wilking_inequalities(metric, cert):
+            alone.append(i)
+    in_sevens = [lo + i for lo in range(0, n, 7)
+                 for i in np.flatnonzero(
+                     ~experiments._wilking_verdicts(triples[lo:lo + 7], 1e-10)[3])]
+    assert [i for i, _ in report.failures] == alone == in_sevens
+    assert 532 in alone
+
+
+def test_wilking_fails_on_nan_curvature(monkeypatch):
+    rows_of = experiments._wilking_rows
+
+    def with_nan(*args):
+        rows = rows_of(*args)
+        rows[3][3] = np.nan  # the k of metric 3
+        return rows
+
+    monkeypatch.setattr(experiments, "_wilking_rows", with_nan)
+    report = verify_wilking(7, 25)
+    assert not report.passed
+    assert np.isnan(report.max_k_value)
+    assert [i for i, _ in report.failures] == [3]
 
 
 def test_wilking_generic_branch_on_random_metric():
@@ -395,6 +472,7 @@ def test_wilking_population():
     assert report.failures == []
     assert report.max_k_value <= 1e-10
     assert report.max_commutator_residual <= 1e-10
+    assert 0.0 <= report.recheck_headroom <= 1.0
     assert sum(report.case_counts.values()) == 25
 
 
