@@ -560,38 +560,65 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
 
 # ---- the special orbit ----
 
-_T0_ROWS = np.zeros((2, 10))
-_T0_ROWS[0, 4] = 1.0
-_T0_ROWS[1, 8] = 1.0
-_T0_ROWS.setflags(write=False)
+# Planes whose orbit distances are taken at once.  The residual stack
+# holds 65 rotated (2, 10) copies of each plane, about 10 KiB a plane.
+_ORBIT_CHUNK = 32
+
+_ORBIT_GRID = np.linspace(0.0, math.pi, 65)[:-1]
 
 
-def _orthonormal_rows(x: SpElement, y: SpElement) -> np.ndarray:
-    rows, _ = _orthonormalize_with_mix(x.data, y.data)
-    a = rows[0] / np.linalg.norm(rows[0])
-    b = rows[1] - (rows[1] @ a) * a
-    return np.array([a, b / np.linalg.norm(b)])
+def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p[r] @ q[r] for every row: the same dot product as for one row."""
+    return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
 
 
-def _distance_after_rotation(rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Geodesic distance from each rotated copy of the plane to t0.
+def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(distances, angles) for the planes spanned by the rows of x and y.
 
-    Principal angles come from the singular values of the residual of the
-    rotated orthonormal basis against the t0 span; those are sines, exact
-    for angles in [0, pi/2] and precise near zero.
+    Row r is computed as if it were alone: the dot products, the batched
+    eigh and the batched SVD treat each small matrix of the stack on its
+    own, so no value depends on the number of rows or on the chunk.
     """
-    c = np.cos(2.0 * angles)[:, None, None]
-    s = np.sin(2.0 * angles)[:, None, None]
-    rotated = np.broadcast_to(rows, (angles.shape[0], 2, 10)).copy()
-    v = rows[:, 4:7]
-    w = rows[:, 7:10]
-    rotated[:, :, 4:7] = c * v + s * w
-    rotated[:, :, 7:10] = -s * v + c * w
-    coeff = rotated @ _T0_ROWS.T
-    residual = rotated - coeff @ _T0_ROWS
-    sines = np.linalg.svd(residual, compute_uv=False)
-    angles_principal = np.arcsin(np.clip(sines, 0.0, 1.0))
-    return np.sqrt(np.sum(angles_principal**2, axis=1))
+    norm_x = np.sqrt(_dots(x, x))
+    if np.any(norm_x <= 1e-12):
+        raise ValueError("zero element cannot span a plane")
+    a = x / norm_x[:, None]
+    b = y - _dots(y, a)[:, None] * a
+    norm_b = np.sqrt(_dots(b, b))
+    if np.any(norm_b <= 1e-12):
+        raise ValueError("elements are linearly dependent")
+    rows = np.stack([a, b / norm_b[:, None]], axis=1)
+    v = rows[:, :, 4:7]
+    w = rows[:, :, 7:10]
+    # M(s) = cos(2s) A + sin(2s) B, entries indexed by (t0 row, plane row);
+    # pair[r] holds A and B of plane r, flattened.
+    pair = np.stack([v[..., 0], w[..., 1], w[..., 0], -v[..., 1]],
+                    axis=1).reshape(-1, 2, 4)
+    form = np.sum(pair[:, :, None] * pair[:, None], axis=-1)
+    top = np.linalg.eigh(form)[1][:, :, 1]
+    exact = np.array([0.5 * math.atan2(s, c) % math.pi for c, s in top.tolist()])
+
+    distances, angles = np.empty((2, len(x)))
+    for lo in range(0, len(x), _ORBIT_CHUNK):
+        chunk = slice(lo, lo + _ORBIT_CHUNK)
+        n = len(exact[chunk])
+        candidates = np.append(np.broadcast_to(_ORBIT_GRID, (n, 64)),
+                               exact[chunk, None], axis=1)
+        cos = np.cos(2.0 * candidates)[..., None, None]
+        sin = np.sin(2.0 * candidates)[..., None, None]
+        # The residual against t0 is the rotated plane with its t0 slots
+        # (columns 4 and 8) zeroed.  Its singular values are the sines of
+        # the principal angles, exact in [0, pi/2] and precise near zero.
+        residual = np.broadcast_to(rows[chunk, None], (n, 65, 2, 10)).copy()
+        residual[..., 4:7] = cos * v[chunk, None] + sin * w[chunk, None]
+        residual[..., 7:10] = -sin * v[chunk, None] + cos * w[chunk, None]
+        residual[..., 4:9:4] = 0.0
+        sines = np.linalg.svd(residual, compute_uv=False)
+        dists = np.sqrt(np.sum(np.arcsin(np.clip(sines, 0.0, 1.0))**2, axis=-1))
+        best = (np.arange(n), np.argmin(dists, axis=1))
+        distances[chunk] = dists[best]
+        angles[chunk] = candidates[best]
+    return distances, angles
 
 
 def special_orbit_distance(x: SpElement, y: SpElement) -> tuple:
@@ -599,31 +626,18 @@ def special_orbit_distance(x: SpElement, y: SpElement) -> tuple:
 
     Minimizes the geodesic subspace distance between the plane and the
     rotation orbit of t0 = span((0,0,e1,0), (0,0,0,e2)); the angle realizes
-    the minimum.
+    the minimum.  This is the one-row case of the batched orbit distance
+    that the dichotomy suite runs, with the same bits.
 
     The overlap |T0 R(s)^T|_F^2 is a homogeneous quadratic in
     (cos 2s, sin 2s), so the angle maximizing it (equivalently minimizing
     the chordal distance) is exact: the top eigenvector of a 2x2 form.
     Near the orbit that angle also minimizes the geodesic distance to
-    third order, which is all the membership threshold can see; a coarse
-    grid guards the far-from-orbit regime.
+    third order, which is all the membership threshold can see; a grid of
+    64 angles guards the far-from-orbit regime.
     """
-    rows = _orthonormal_rows(x, y)
-    v = rows[:, 4:7]
-    w = rows[:, 7:10]
-    # M(s) = cos(2s) A + sin(2s) B, entries indexed by (t0 row, plane row).
-    a = np.array([[v[0, 0], v[1, 0]], [w[0, 1], w[1, 1]]])
-    b = np.array([[w[0, 0], w[1, 0]], [-v[0, 1], -v[1, 1]]])
-    form = np.array(
-        [[np.sum(a * a), np.sum(a * b)], [np.sum(a * b), np.sum(b * b)]]
-    )
-    top = np.linalg.eigh(form)[1][:, 1]
-    exact = 0.5 * math.atan2(top[1], top[0]) % math.pi
-
-    candidates = np.append(np.linspace(0.0, math.pi, 65)[:-1], exact)
-    dists = _distance_after_rotation(rows, candidates)
-    best = int(np.argmin(dists))
-    return float(dists[best]), float(candidates[best])
+    distances, angles = _orbit_distance_rows(x.data[None], y.data[None])
+    return float(distances[0]), float(angles[0])
 
 
 def in_special_orbit(x: SpElement, y: SpElement, tol: float = SPECIAL_ORBIT_TOL) -> bool:

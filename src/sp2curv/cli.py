@@ -109,7 +109,7 @@ def _witness(seed, index, x, y):
 
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (results, summary, rows, passed)
-# where rows is the flat table used by the csv format.
+# where rows is the flat table used by the csv format, iterated once.
 # ---------------------------------------------------------------------------
 
 
@@ -163,16 +163,19 @@ def _run_lemma1(cfg):
         "special_abs_c2": _stats(special_c2),
         "special_abs_c3": _stats(special_c3),
         "max_special_c3_unit_defect": report.max_special_c3_defect,
+        "min_generic_orbit_distance": report.min_generic_orbit_distance,
+        "max_special_orbit_distance": report.max_special_orbit_distance,
         "violation_count": len(report.violations),
     }
     # The x and y columns are classify-ready argument strings, so any
-    # row can be replayed verbatim.
+    # row can be replayed verbatim.  The rows are a generator: only the
+    # csv format reads them.
     header = ["plane_id", "family", "kind", "special_orbit",
               "orbit_distance", "c2", "c3", "classification", "x", "y"]
-    rows = [[v.plane_id, v.family, v.kind, v.special_orbit,
+    rows = ([v.plane_id, v.family, v.kind, v.special_orbit,
              v.orbit_distance, v.c2, v.c3, v.classification,
              _classify_arg(v.x), _classify_arg(v.y)]
-            for v in report.verdicts]
+            for v in report.verdicts)
     return results, summary, (header, rows), report.passed
 
 

@@ -41,6 +41,7 @@ from .algebra import (
 )
 from .cartan import (
     SPECIAL_ORBIT_TOL,
+    _orbit_distance_rows,
     centralizer_in_m,
     sample_cartan,
     special_orbit_distance,
@@ -100,6 +101,7 @@ C3_UNIT_TOL = 1e-8
 _GENERIC = "GENERIC_POSITIVE"
 _DEGENERATE = "DEGENERATE_CUBIC"
 _VIOLATION = "VIOLATION"
+_LABELS = (_VIOLATION, _GENERIC, _DEGENERATE)  # indexed by _dichotomy_codes
 
 _FAMILIES = ("F1", "F2", "F3", "F4")
 
@@ -399,8 +401,25 @@ class Lemma1Report(NamedTuple):
     min_generic_c2: float
     max_special_abs_c2: float
     max_special_c3_defect: float
+    # How close a plane came to SPECIAL_ORBIT_TOL from either side, over
+    # the GENERIC_POSITIVE verdicts and over the verdicts on the orbit;
+    # NaN when that set is empty.
+    min_generic_orbit_distance: float
+    max_special_orbit_distance: float
     elapsed_seconds: float
     passed: bool
+
+
+def _dichotomy_codes(distance, c2, c3, c2_tol: float, orbit_tol: float):
+    """Indices into _LABELS of the dichotomy labels, elementwise.
+
+    Each branch asks for its own side of the orbit threshold, so a NaN
+    distance or coefficient falls through to VIOLATION.
+    """
+    generic = (distance > orbit_tol) & (c2 > c2_tol)
+    degenerate = ((distance <= orbit_tol) & (abs(c2) <= c2_tol)
+                  & (abs(c3) > c2_tol))
+    return generic + 2 * degenerate
 
 
 def classify_plane(plane: TangentPlane, *,
@@ -421,17 +440,10 @@ def classify_plane(plane: TangentPlane, *,
         deformation = reference_deformation()
     ortho = plane.orthonormalized()
     distance, _ = special_orbit_distance(ortho.x, ortho.y)
-    special = distance <= orbit_tol
     jet = numerator_jet(deformation, ortho)
-    c2 = float(jet[2])
-    c3 = float(jet[3])
-    if not special and c2 > c2_tol:
-        label = _GENERIC
-    elif special and abs(c2) <= c2_tol and abs(c3) > c2_tol:
-        label = _DEGENERATE
-    else:
-        label = _VIOLATION
-    return label, special, float(distance), c2, c3
+    c2, c3 = float(jet[2]), float(jet[3])
+    label = _LABELS[_dichotomy_codes(distance, c2, c3, c2_tol, orbit_tol)]
+    return label, distance <= orbit_tol, distance, c2, c3
 
 
 def verify_lemma1(seed: int, n_samples: int = 10000, *,
@@ -445,53 +457,64 @@ def verify_lemma1(seed: int, n_samples: int = 10000, *,
     each DEGENERATE_CUBIC verdict must carry a cubic coefficient of
     magnitude one within C3_UNIT_TOL.  Violations are collected with
     full reproduction data.
+
+    Planes are drawn, checked and orthonormalized one by one, as
+    classify_plane takes them; their jets and orbit distances are then
+    taken as (n, 10) rows and labelled by classify_plane's rule.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     start = time.perf_counter()
     if deformation is None:
         deformation = reference_deformation()
-    verdicts = []
-    violations = []
-    family_counts: dict = {}
-    classification_counts: dict = {}
-    kind_counts: dict = {}
-    min_generic_c2 = np.inf
-    max_special_c2 = 0.0
-    max_c3_defect = 0.0
+    # spans[i, 0] is the plane a verdict records, spans[i, 1] the one measured.
+    spans = np.empty((n_samples, 2, 2, 10))
+    families, kinds = [], []
     for i in range(n_samples):
         plane, fam, kind = sample_commuting_plane(
             seed, i, family=family, adversarial_only=adversarial_only)
-        ortho = plane.orthonormalized()
-        label, special, distance, c2, c3 = classify_plane(
-            ortho, deformation=deformation, c2_tol=c2_tol)
-        verdict = Lemma1Verdict(
-            plane_id=i, family=fam, kind=kind, special_orbit=special,
-            orbit_distance=distance, c2=c2, c3=c3, classification=label,
-            x=tuple(float(t) for t in ortho.x.data),
-            y=tuple(float(t) for t in ortho.y.data))
-        verdicts.append(verdict)
-        family_counts[fam] = family_counts.get(fam, 0) + 1
-        classification_counts[label] = classification_counts.get(label, 0) + 1
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        if label == _VIOLATION:
-            violations.append(verdict)
-        elif label == _GENERIC:
-            min_generic_c2 = min(min_generic_c2, c2)
-        else:
-            max_special_c2 = max(max_special_c2, abs(c2))
-            max_c3_defect = max(max_c3_defect, abs(abs(c3) - 1.0))
+        plane = plane.orthonormalized()
+        if not is_commuting_pair(plane.x, plane.y):
+            raise ValueError("classify_plane requires a commuting plane")
+        spans[i, 0] = plane.x.data, plane.y.data
+        plane = plane.orthonormalized()
+        spans[i, 1] = plane.x.data, plane.y.data
+        families.append(fam)
+        kinds.append(kind)
+    x, y = spans[:, 1, 0], spans[:, 1, 1]
+    _, _, c2, c3, _ = _numerator_jet_rows(
+        [deformation], np.zeros(n_samples, dtype=int), x, y)
+    distance, _ = _orbit_distance_rows(x, y)
+    codes = _dichotomy_codes(distance, c2, c3, c2_tol, SPECIAL_ORBIT_TOL)
+    special = distance <= SPECIAL_ORBIT_TOL
+
+    verdicts = [Lemma1Verdict(i, *fields) for i, fields in enumerate(zip(
+        families, kinds, special.tolist(), distance.tolist(), c2.tolist(),
+        c3.tolist(), [_LABELS[k] for k in codes.tolist()],
+        map(tuple, spans[:, 0, 0].tolist()), map(tuple, spans[:, 0, 1].tolist())))]
+    violations = [v for v in verdicts if v.classification == _VIOLATION]
+    generic, degenerate = codes == 1, codes == 2
+    # np.min/np.max propagate NaN; initial gives the empty-set value.
+    min_generic_c2 = float(np.min(c2[generic], initial=np.inf))
+    max_special_c2 = float(np.max(np.abs(c2[degenerate]), initial=0.0))
+    max_c3_defect = float(np.max(np.abs(np.abs(c3[degenerate]) - 1.0),
+                                 initial=0.0))
     elapsed = time.perf_counter() - start
-    passed = (not violations
-              and max_c3_defect <= C3_UNIT_TOL
+    passed = (not violations and max_c3_defect <= C3_UNIT_TOL
               and max_special_c2 <= c2_tol)
     return Lemma1Report(
-        samples=n_samples, verdicts=verdicts, family_counts=family_counts,
-        classification_counts=classification_counts, kind_counts=kind_counts,
+        samples=n_samples, verdicts=verdicts,
+        family_counts=dict(Counter(families)),
+        classification_counts=dict(Counter(v.classification for v in verdicts)),
+        kind_counts=dict(Counter(kinds)),
         violations=violations,
-        min_generic_c2=float(min_generic_c2),
+        min_generic_c2=min_generic_c2,
         max_special_abs_c2=max_special_c2,
         max_special_c3_defect=max_c3_defect,
+        min_generic_orbit_distance=(float(np.min(distance[generic]))
+                                    if generic.any() else np.nan),
+        max_special_orbit_distance=(float(np.max(distance[special]))
+                                    if special.any() else np.nan),
         elapsed_seconds=elapsed, passed=passed)
 
 

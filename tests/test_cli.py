@@ -57,6 +57,9 @@ def test_lemma1_exit_zero(capsys):
     assert payload["passed"] is True
     assert payload["results"]["classification_counts"].get("VIOLATION",
                                                            0) == 0
+    summary = payload["summary"]
+    assert (summary["max_special_orbit_distance"] <= 1e-8
+            < summary["min_generic_orbit_distance"])
 
 
 def test_theorem1_exit_zero(capsys):

@@ -17,6 +17,7 @@ from sp2curv import (
     run_oracle_suite,
     sample_commuting_plane,
     sectional_curvature,
+    special_orbit_distance,
     special_plane,
     verify_lemma1,
     verify_theorem1,
@@ -24,7 +25,7 @@ from sp2curv import (
     verify_wilking_inequalities,
     wilking_pair,
 )
-from sp2curv import experiments
+from sp2curv import cartan, curvature, experiments
 from sp2curv.algebra import (
     E1,
     E2,
@@ -34,6 +35,7 @@ from sp2curv.algebra import (
     bracket_oracle,
     norm,
 )
+from sp2curv.cartan import SPECIAL_ORBIT_TOL
 from sp2curv.curvature import (
     _numerator_jet_rows,
     _sectional_curvature_rows,
@@ -275,6 +277,8 @@ def test_lemma1_small_run():
     assert report.min_generic_c2 > 1e-10
     assert report.max_special_abs_c2 <= 1e-10
     assert report.max_special_c3_defect <= 1e-8
+    assert (report.max_special_orbit_distance <= SPECIAL_ORBIT_TOL
+            < report.min_generic_orbit_distance)
     assert set(report.kind_counts) == {"uniform", "transverse",
                                        "centralizer", "on_orbit"}
     for verdict in report.verdicts:
@@ -289,6 +293,9 @@ def test_lemma1_family_restriction():
     report = verify_lemma1(7, 40, family="F4")
     assert report.passed
     assert set(report.family_counts) == {"F4"}
+    # No F4 plane lies on the orbit, so that margin has no plane to read.
+    assert np.isnan(report.max_special_orbit_distance)
+    assert report.min_generic_orbit_distance > SPECIAL_ORBIT_TOL
 
 
 def test_lemma1_adversarial_only():
@@ -296,6 +303,83 @@ def test_lemma1_adversarial_only():
     assert report.passed
     assert "uniform" not in report.kind_counts
     assert report.classification_counts.get("DEGENERATE_CUBIC", 0) > 0
+
+
+def test_nan_orbit_distance_is_a_violation(monkeypatch):
+    # Plane 3 is a generic F4 plane; a NaN distance must not pass for
+    # "off the orbit".
+    plane = sample_commuting_plane(0, 3)[0]
+    assert classify_plane(plane)[0] == "GENERIC_POSITIVE"
+    monkeypatch.setattr(experiments, "special_orbit_distance",
+                        lambda x, y: (float("nan"), 0.0))
+    label, special, distance, c2, _ = classify_plane(plane)
+    assert (label, special) == ("VIOLATION", False)
+    assert np.isnan(distance) and c2 > 1e-10
+
+    rows_of = experiments._orbit_distance_rows
+
+    def nan_for_plane_3(x, y):
+        distances, angles = rows_of(x, y)
+        distances[3] = np.nan
+        return distances, angles
+
+    monkeypatch.setattr(experiments, "_orbit_distance_rows", nan_for_plane_3)
+    report = verify_lemma1(0, 20)
+    assert not report.passed
+    assert [v.plane_id for v in report.violations] == [3]
+    assert report.verdicts[3].classification == "VIOLATION"
+    assert report.classification_counts["VIOLATION"] == 1
+
+
+def _measured_rows(report):
+    """The rows the suite measures: each verdict's plane orthonormalized."""
+    planes = [TangentPlane(SpElement.from_array(np.array(v.x)),
+                           SpElement.from_array(np.array(v.y))).orthonormalized()
+              for v in report.verdicts]
+    return (np.array([p.x.data for p in planes]),
+            np.array([p.y.data for p in planes]))
+
+
+def _verdict_bits(report):
+    return np.array([[v.orbit_distance, v.c2, v.c3]
+                     for v in report.verdicts]).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "sampler", [{}, {"family": "F4"}, {"adversarial_only": True}],
+    ids=["mix", "F4", "adversarial"])
+def test_lemma1_rows_do_not_depend_on_the_stack(sampler, monkeypatch):
+    report = verify_lemma1(7, 150, **sampler)
+    x, y = _measured_rows(report)
+    distances, angles = cartan._orbit_distance_rows(x, y)
+    np.testing.assert_array_equal(
+        distances.view(np.uint64), _verdict_bits(report)[:, 0])
+    for r in range(len(x)):
+        alone = special_orbit_distance(SpElement.from_array(x[r]),
+                                       SpElement.from_array(y[r]))
+        np.testing.assert_array_equal(
+            np.array(alone).view(np.uint64),
+            np.array([distances[r], angles[r]]).view(np.uint64))
+    whole = _verdict_bits(report)
+    for chunk in (1, 7, cartan._ORBIT_CHUNK):
+        monkeypatch.setattr(cartan, "_ORBIT_CHUNK", chunk)
+        monkeypatch.setattr(curvature, "_JET_CHUNK", chunk)
+        np.testing.assert_array_equal(
+            _verdict_bits(verify_lemma1(7, 150, **sampler)), whole)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lemma1_verdicts_replay_through_classify_plane(seed):
+    # classify_plane takes its jet through the scalar jet ring, one plane
+    # at a time.
+    for v in verify_lemma1(seed, 160).verdicts:
+        label, special, distance, c2, c3 = classify_plane(TangentPlane(
+            SpElement.from_array(np.array(v.x)),
+            SpElement.from_array(np.array(v.y))))
+        assert (label, special) == (v.classification, v.special_orbit)
+        assert abs(c2 - v.c2) <= 1e-12 and abs(c3 - v.c3) <= 1e-12
+        if v.orbit_distance < 1e-3:
+            assert abs(distance - v.orbit_distance) <= 1e-12
 
 
 # ---- deformed positivity ----
