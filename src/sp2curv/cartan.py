@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import SpElement, _ad_h_arr, _bracket_arr
-from .curvature import is_commuting_pair
+from .curvature import _rows_dot, is_commuting_pair
 
 __all__ = [
     "centralizer_in_m",
@@ -567,11 +567,6 @@ _ORBIT_CHUNK = 32
 _ORBIT_GRID = np.linspace(0.0, math.pi, 65)[:-1]
 
 
-def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p[r] @ q[r] for every row: the same dot product as for one row."""
-    return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
-
-
 def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     """(distances, angles) for the planes spanned by the rows of x and y.
 
@@ -579,12 +574,12 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     eigh and the batched SVD treat each small matrix of the stack on its
     own, so no value depends on the number of rows or on the chunk.
     """
-    norm_x = np.sqrt(_dots(x, x))
+    norm_x = np.sqrt(_rows_dot(x, x))
     if np.any(norm_x <= 1e-12):
         raise ValueError("zero element cannot span a plane")
     a = x / norm_x[:, None]
-    b = y - _dots(y, a)[:, None] * a
-    norm_b = np.sqrt(_dots(b, b))
+    b = y - _rows_dot(y, a)[:, None] * a
+    norm_b = np.sqrt(_rows_dot(b, b))
     if np.any(norm_b <= 1e-12):
         raise ValueError("elements are linearly dependent")
     rows = np.stack([a, b / norm_b[:, None]], axis=1)

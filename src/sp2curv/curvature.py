@@ -17,13 +17,14 @@ The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
 The formula is written once and evaluated in four rings.  At a fixed t the
 values are (10,) arrays and M_t^{-1} is the exact block inverse.  For many
-planes they are (n, 10) arrays, one plane vector per row, each row computed
-as if it were alone; the rows share one metric (a fixed-t scan) or carry
-one metric each (the Wilking suite).  At t = 0 the values are degree-4
-truncated power series (jets) in t: M_t^{-1} enters through its Neumann
-series, so every coefficient through t^4 is exact up to rounding, with no
-step-size error.  Jets of many planes, each under its own deformation, are
-(k, n, 10) arrays, again each row as if it were alone.
+planes they are (n, 10) arrays, one plane vector per row; the rows share
+one metric (a fixed-t scan) or carry one metric each (the Wilking suite).
+At t = 0 the values are degree-4 truncated power series (jets) in t:
+M_t^{-1} enters through its Neumann series, so every coefficient through
+t^4 is exact up to rounding, with no step-size error.  Jets of many
+planes, each under its own deformation, are (k, n, 10) arrays.  In both
+rows rings an operator acts on a row, and two rows pair, as one small
+stacked matmul per row, so each row is computed as if it were alone.
 For commuting pairs the second derivative collapses to the closed form
 C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 """
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _bracket_arr, _bracket_rows, _sum_axis1
+from .algebra import SpElement, _bracket_arr, _bracket_rows
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -109,6 +110,41 @@ class TangentPlane:
 
     def __repr__(self) -> str:
         return f"TangentPlane(x={self.x!r}, y={self.y!r})"
+
+
+def _check_plane_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """TangentPlane's checks on every row of (n, 10) arrays x, y.
+
+    Each comparison is the one TangentPlane makes, so a NaN passes or
+    fails as it does there.
+    """
+    def in_m(a):
+        # SpElement.in_m(tol=1e-9); np.fmax skips a NaN as max() does.
+        return np.abs(a[:, 0]) <= 1e-9 * np.fmax(1.0, np.abs(a).max(axis=1))
+
+    if not np.all(in_m(x) & in_m(y)):
+        raise ValueError("plane vectors must lie in m")
+    nx = np.sqrt(_rows_dot(x, x))
+    ny = np.sqrt(_rows_dot(y, y))
+    if np.any((nx == 0.0) | (ny == 0.0)):
+        raise ValueError("plane vectors must be nonzero")
+    cosine = _rows_dot(x, y) / (nx * ny)
+    if np.any(1.0 - cosine * cosine <= 1e-12):
+        raise ValueError("plane vectors are linearly dependent")
+
+
+def _orthonormal_rows(x: np.ndarray, y: np.ndarray) -> tuple:
+    """TangentPlane(x[r], y[r]).orthonormalized() for every row, to the bit.
+
+    The rows taken and the rows given pass TangentPlane's checks, which
+    raise its ValueError.
+    """
+    _check_plane_rows(x, y)
+    a = x / np.sqrt(_rows_dot(x, x))[:, None]
+    b = y - _rows_dot(y, a)[:, None] * a
+    b = b / np.sqrt(_rows_dot(b, b))[:, None]
+    _check_plane_rows(a, b)
+    return a, b
 
 
 class CurvatureReport(NamedTuple):
@@ -201,14 +237,16 @@ def _u(ring, a, ma, b, mb):
     return 0.5 * ring.solve(_m_part(ring.br(a, mb) + ring.br(b, ma)))
 
 
-def _six_terms(ring, x, y):
+def _six_terms(ring, x, y, mx=None, my=None):
     """C(X, Y, t) term by term as in the module docstring.
 
     ``ring`` supplies the bracket ``br``, ``apply`` (M), ``solve`` (M^{-1})
-    and the bi-invariant ``inner``, so <a, b> = inner(a, apply(b)).
+    and the bi-invariant ``inner``, so <a, b> = inner(a, apply(b)).  A
+    caller that already holds M x and M y passes them as ``mx``, ``my``.
     """
     br, apply, inner = ring.br, ring.apply, ring.inner
-    mx, my = apply(x), apply(y)
+    if mx is None:
+        mx, my = apply(x), apply(y)
     xy = br(x, y)
     xy_m = _m_part(xy)
     u_xy = _u(ring, x, mx, y, my)
@@ -241,19 +279,24 @@ class _FixedRing:
 
 
 def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise dot product, summed column by column from the left."""
-    return _sum_axis1(p * q)
+    """p[r] @ q[r] for every row r of two (..., d) stacks.
+
+    Each row is one (1, d) @ (d, 1) product of its own, so it gets the
+    bits of the scalar p[r] @ q[r], whatever the stack or its strides.
+    """
+    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
 def _rows_matvec(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """mat @ row for every row of a, summed column by column from the left.
+    """mat @ row for every row of an (n, d) array a.
 
-    mat is one matrix for all rows, or one per row.
+    mat is one matrix for all rows, or an (n, d, d) stack of one per row.
+    Each row is one matrix-vector product of its own, so its bits do not
+    depend on n or on the strides of a.  They do depend on the layout of
+    mat: a Fortran-ordered copy of the same matrix runs another BLAS
+    kernel, so mat is taken C-contiguous.
     """
-    out = mat[..., 0] * a[:, :1]
-    for j in range(1, a.shape[1]):
-        out += mat[..., j] * a[:, j : j + 1]
-    return out
+    return np.matmul(np.ascontiguousarray(mat), a[..., None])[..., 0]
 
 
 def _block_operator(a3: np.ndarray, b6: np.ndarray) -> np.ndarray:
@@ -273,8 +316,10 @@ class _RowsRing:
 
     A metric M and its exact block inverse act on every row at once.  The
     blocks of M and M^{-1} are those of one metric for every row, or
-    stacks holding one metric per row.  Every sum runs in a fixed order,
-    so no row's value depends on how many rows are evaluated together.
+    stacks holding one metric per row.  Operators and inner products are
+    stacked matmuls, and numpy's matmul loop computes each item of a stack
+    on its own; the bracket sums its six products in a fixed order.  So no
+    row's value depends on how many rows are evaluated together.
     """
 
     __slots__ = ("_op", "_inv")
@@ -294,9 +339,11 @@ class _RowsRing:
 
 
 # Rows evaluated at once by _sectional_curvature_rows and by
-# _numerator_jet_rows; neither changes a value.  A 10k-plane fixed-t
-# scan took 76-93 ms in chunks of 256 and 89-111 ms in chunks of 1024.
-# The jets of 10k planes took 301-556 ms at 256 and 249-302 ms at 1024.
+# _numerator_jet_rows; neither changes a value.  With stacked matmuls a
+# 10k-plane fixed-t scan took 36-47 ms in chunks of 256, 38-59 ms at 512
+# and 33-62 ms at 1024 (fastest and median of nine, two sweeps), so 256
+# stays.  The jets of 10k planes took 161-166 ms at 256 and 150-154 ms
+# at 1024.
 _ROWS_CHUNK = 256
 _JET_CHUNK = 1024
 
@@ -311,7 +358,7 @@ def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray):
     s = _rows_dot(x, mx) * _rows_dot(y, my) - xmy * xmy
     if np.any(s <= 0.0):
         raise ValueError("degenerate plane: nonpositive metric Gram determinant")
-    return _six_terms(ring, x, y), s
+    return _six_terms(ring, x, y, mx, my), s
 
 
 def _sectional_curvature_rows(m: DeformedMetric, x: np.ndarray,
@@ -437,8 +484,10 @@ class _JetRowsRing(_JetRing):
     """Values are (k, n, 10) arrays: row r holds a jet of plane r.
 
     Each row carries its own L (``lam9`` is (n, 9, 9), ``neumann`` is
-    (5, n, 9, 9)), and every sum runs in a fixed order, so no row's value
-    depends on how many rows are evaluated together.  Inner products
+    (5, n, 9, 9)), or all rows share one (``lam9`` is (1, 9, 9) and
+    ``neumann`` (5, 1, 9, 9)).  As in _RowsRing, every product is a
+    stacked matmul and every Cauchy sum runs in a fixed order, so no row's
+    value depends on how many rows are evaluated together.  Inner products
     are (5, n) coefficient arrays.
     """
 
@@ -462,7 +511,8 @@ def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
 
     Row r is taken under the deformation pool[which[r]].  Returns the
     (5, n) coefficients; the Neumann powers of each pool deformation are
-    computed once, as numerator_jet computes them.
+    computed once, as numerator_jet computes them.  A pool of one is
+    shared by every row, not copied to each.
     """
     lam9 = np.array([d.matrix9 for d in pool])
     neumann = np.empty((_JET_ORDER + 1,) + lam9.shape)
@@ -471,7 +521,8 @@ def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
     out = np.empty((_JET_ORDER + 1, len(x)))
     for lo in range(0, len(x), _JET_CHUNK):
         rows = slice(lo, lo + _JET_CHUNK)
-        ring = _JetRowsRing(lam9[which[rows]], neumann[:, which[rows]])
+        pick = slice(None) if len(pool) == 1 else which[rows]
+        ring = _JetRowsRing(lam9[pick], neumann[:, pick])
         out[:, rows] = _six_terms(ring, x[None, rows], y[None, rows])
     return out
 

@@ -51,6 +51,7 @@ from .curvature import (
     _RowsRing,
     _curvature_rows,
     _numerator_jet_rows,
+    _orthonormal_rows,
     _rows_dot,
     _sectional_curvature_rows,
     _six_terms,
@@ -594,10 +595,9 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
     metrics = [DeformedMetric(deformation, sigma * abs(float(t)))
                for t in t_values]
 
-    planes = [sample_commuting_plane(seed, i)[0].orthonormalized()
-              for i in range(n_samples)]
-    x = np.array([p.x.data for p in planes])
-    y = np.array([p.y.data for p in planes])
+    planes = [sample_commuting_plane(seed, i)[0] for i in range(n_samples)]
+    x, y = _orthonormal_rows(np.array([p.x.data for p in planes]),
+                             np.array([p.y.data for p in planes]))
 
     def scan(metric: DeformedMetric):
         # np.argmin returns the first NaN if there is one, so a NaN
@@ -886,22 +886,17 @@ def run_baseline_suite(seed: int, samples: int = 10000, *,
         raise ValueError("samples must be positive")
     start = time.perf_counter()
     metric = DeformedMetric(reference_deformation(), 0.0)
-    planes = []
+    x = np.zeros((samples, 10))
+    y = np.zeros((samples, 10))
     for i in range(samples):
         if i % 2 == 0:
             rng = np.random.default_rng([seed, 4, i])
-            x = np.zeros(10)
-            y = np.zeros(10)
-            x[1:] = rng.normal(size=9)
-            y[1:] = rng.normal(size=9)
-            plane = TangentPlane(SpElement.from_array(x),
-                                 SpElement.from_array(y))
+            x[i, 1:] = rng.normal(size=9)
+            y[i, 1:] = rng.normal(size=9)
         else:
             plane, _, _ = sample_commuting_plane(seed, i)
-        planes.append(plane.orthonormalized())
-    k = _sectional_curvature_rows(metric,
-                                  np.array([p.x.data for p in planes]),
-                                  np.array([p.y.data for p in planes]))
+            x[i], y[i] = plane.x.data, plane.y.data
+    k = _sectional_curvature_rows(metric, *_orthonormal_rows(x, y))
     # np.min and np.max keep a NaN, which the builtin min and max drop.
     min_k = float(np.min(k))
     max_comm = float(np.max(np.abs(k[1::2]), initial=0.0))

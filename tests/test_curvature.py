@@ -27,7 +27,15 @@ from sp2curv import (
     sectional_curvature,
     special_plane,
 )
-from sp2curv.curvature import _sectional_curvature_rows, denominator, u_tensor
+from sp2curv.curvature import (
+    _RowsRing,
+    _orthonormal_rows,
+    _rows_dot,
+    _rows_matvec,
+    _sectional_curvature_rows,
+    denominator,
+    u_tensor,
+)
 from sp2curv.experiments import _FRONTIER_GRID
 
 from conftest import element
@@ -275,6 +283,60 @@ def test_denominator_positive_and_k_ratio(generic_triple):
     assert rep.k_value == pytest.approx(rep.c_value / rep.s_value, rel=1e-15)
 
 
+# ---- the rows primitives ----
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_row"])
+def test_rows_primitives_do_not_depend_on_the_stack(shared):
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(2, 1000, 10))
+    mat = rng.normal(size=(10, 10) if shared else (1000, 10, 10))
+
+    def op(rows):
+        return mat if shared else mat[rows]
+
+    whole = _rows_matvec(mat, a)
+    dots = _rows_dot(a, b)
+    for n in (1, 2, 7, 256, 1000):
+        for lo in {0, 1000 - n}:
+            rows = slice(lo, lo + n)
+            np.testing.assert_array_equal(
+                _bits(_rows_matvec(op(rows), a[rows])), _bits(whole[rows]))
+            np.testing.assert_array_equal(_bits(_rows_dot(a[rows], b[rows])),
+                                          _bits(dots[rows]))
+    every = slice(None, None, 2)
+    np.testing.assert_array_equal(_bits(_rows_matvec(op(every), a[every])),
+                                  _bits(whole[every]))
+    np.testing.assert_array_equal(_bits(_rows_dot(a[every], b[every])),
+                                  _bits(dots[every]))
+    mat9 = np.ascontiguousarray(mat[..., 1:, 1:])
+    np.testing.assert_array_equal(_bits(_rows_matvec(mat9, a[:, 1:])),
+                                  _bits(_rows_matvec(mat9, a[:, 1:].copy())))
+    for r in range(1000):
+        assert _bits(dots[r]) == _bits(a[r] @ b[r]), r
+        assert _bits(_rows_dot(a[r, 1:], b[r, 1:])) == _bits(a[r, 1:] @ b[r, 1:]), r
+        np.testing.assert_array_equal(_bits(whole[r]), _bits(op(r) @ a[r]))
+
+
+def test_rows_matvec_takes_its_operator_c_contiguous():
+    """A Fortran-ordered copy of an operator runs another BLAS kernel."""
+    rng = np.random.default_rng(18)
+    a = rng.normal(size=(300, 10))
+    for mat in (rng.normal(size=(10, 10)), rng.normal(size=(300, 10, 10))):
+        fortran = np.ascontiguousarray(np.swapaxes(mat, -1, -2)).swapaxes(-1, -2)
+        assert not fortran.flags.c_contiguous
+        np.testing.assert_array_equal(_bits(_rows_matvec(fortran, a)),
+                                      _bits(_rows_matvec(mat, a)))
+    metric = DeformedMetric(reference_deformation(), -0.01)
+    ring = _RowsRing(metric.operator_a().T, metric.operator_block6().T,
+                     metric._inv_a.T, metric._inv_block6.T)
+    assert ring._op.flags.c_contiguous and ring._inv.flags.c_contiguous
+
+
 # ---- many planes at once ----
 
 
@@ -362,3 +424,55 @@ def test_batched_jets_do_not_depend_on_chunk_size(monkeypatch):
         np.testing.assert_array_equal(
             curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64),
             whole)
+
+
+def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
+    _, x, y = _mixed_planes(4, 40)
+    d = _jet_pool(4, 1)[0]
+    shapes = []
+
+    class Spy(curvature._JetRowsRing):
+        __slots__ = ()
+
+        def __init__(self, lam9, neumann):
+            shapes.append((lam9.shape, neumann.shape))
+            super().__init__(lam9, neumann)
+
+    monkeypatch.setattr(curvature, "_JetRowsRing", Spy)
+    one = curvature._numerator_jet_rows([d], np.zeros(len(x), dtype=int), x, y)
+    monkeypatch.undo()
+    assert shapes == [((1, 9, 9), (5, 1, 9, 9))]
+    two = curvature._numerator_jet_rows([d, d], np.arange(len(x)) % 2, x, y)
+    np.testing.assert_array_equal(_bits(one), _bits(two))
+
+
+# ---- the rows Gram-Schmidt ----
+
+
+def _plane_or_error(x, y):
+    try:
+        plane = TangentPlane(SpElement.from_array(x),
+                             SpElement.from_array(y)).orthonormalized()
+    except ValueError as exc:
+        return str(exc)
+    return plane
+
+
+@pytest.mark.parametrize("case", ["dependent", "zero", "outside_m", "nan"])
+def test_rows_gram_schmidt_raises_like_tangent_plane(case):
+    rng = np.random.default_rng(19)
+    x, y = np.zeros((2, 6, 10))
+    x[:, 1:], y[:, 1:] = rng.normal(size=(2, 6, 9))
+    if case == "dependent":
+        y[3] = -2.0 * x[3]
+    elif case == "zero":
+        x[3] = 0.0
+    elif case == "outside_m":
+        y[3, 0] = 1e-3
+    else:
+        x[3, 5] = np.nan
+    message = _plane_or_error(x[3], y[3])
+    assert isinstance(message, str)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as exc:
+        _orthonormal_rows(x, y)
+    assert str(exc.value) == message

@@ -570,6 +570,52 @@ def test_baseline_small_run():
     assert report.max_commuting_k <= 1e-12
 
 
+def _suite_rows(monkeypatch, suite, *args):
+    """The (x, y) rows each scan of a suite hands to the curvature."""
+    seen = []
+    real = experiments._sectional_curvature_rows
+
+    def spy(metric, x, y):
+        seen.append((x, y))
+        return real(metric, x, y)
+
+    monkeypatch.setattr(experiments, "_sectional_curvature_rows", spy)
+    suite(*args)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_suites_orthonormalize_rows_as_tangent_plane_does(seed, monkeypatch):
+    """theorem1's and the baseline's rows, against the one-plane route."""
+    n = 200
+    commuting = [sample_commuting_plane(seed, i)[0] for i in range(n)]
+    random_planes = {}
+    for i in range(0, n, 2):
+        rng = np.random.default_rng([seed, 4, i])
+        x, y = np.zeros(10), np.zeros(10)
+        x[1:] = rng.normal(size=9)
+        y[1:] = rng.normal(size=9)
+        random_planes[i] = TangentPlane(SpElement.from_array(x),
+                                        SpElement.from_array(y))
+    expected = {
+        "theorem1": [p.orthonormalized() for p in commuting],
+        "baseline": [random_planes.get(i, commuting[i]).orthonormalized()
+                     for i in range(n)],
+    }
+    scans = {
+        "theorem1": _suite_rows(monkeypatch, verify_theorem1, seed, n, (0.001,)),
+        "baseline": _suite_rows(monkeypatch, run_baseline_suite, seed, n),
+    }
+    for name, planes in expected.items():
+        want_x = np.array([p.x.data for p in planes]).view(np.uint64)
+        want_y = np.array([p.y.data for p in planes]).view(np.uint64)
+        assert scans[name]
+        for x, y in scans[name]:
+            np.testing.assert_array_equal(x.view(np.uint64), want_x)
+            np.testing.assert_array_equal(y.view(np.uint64), want_y)
+
+
 def test_baseline_fails_on_nan_curvature(monkeypatch):
     _nan_at_row_3(monkeypatch)
     report = run_baseline_suite(7, 40)
