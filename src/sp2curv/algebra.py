@@ -209,23 +209,15 @@ _BR_I, _BR_J, _BR_SIGN = _bracket_table()
 def _bracket_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bracket of (n, 10) arrays, row by row, from the structure constants.
 
-    Each row gets the bits _bracket_arr gives it, whatever n is.
+    Each row gets the bits _bracket_arr gives it, whatever n is.  The
+    products are gathered as (6, 10, n), so the sums run contiguously.
     """
-    p = a[:, _BR_I]
-    p *= b[:, _BR_J]
-    p *= _BR_SIGN
-    return _sum_axis1(p)
-
-
-def _sum_axis1(p: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 from the left, so each entry's order is fixed.
-
-    np.sum may change its summation order with the shape of the array.
-    """
-    out = p[:, 0].copy()
-    for j in range(1, p.shape[1]):
-        out += p[:, j]
-    return out
+    p = a.T[_BR_I]
+    p *= b.T[_BR_J]
+    p *= _BR_SIGN[..., None]
+    for term in p[1:]:
+        p[0] += term
+    return np.ascontiguousarray(p[0].T)
 
 
 def bracket(x: SpElement, y: SpElement) -> SpElement:
@@ -312,13 +304,6 @@ class Quaternion(NamedTuple):
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def is_pure_imaginary(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, abs(self.w), abs(self.x), abs(self.y), abs(self.z))
-        return abs(self.w) <= tol * scale
-
-
-_QZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 
 
 class QuatMatrix(NamedTuple):

@@ -560,11 +560,30 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
 
 # ---- the special orbit ----
 
-# Planes whose orbit distances are taken at once.  The residual stack
-# holds 65 rotated (2, 10) copies of each plane, about 10 KiB a plane.
-_ORBIT_CHUNK = 32
-
+# Planes taken at once (256 would raise the peak RSS), and the grid angles.
+_ORBIT_CHUNK = 128
 _ORBIT_GRID = np.linspace(0.0, math.pi, 65)[:-1]
+
+# A candidate takes the SVD when its screened distance is within this of
+# its row's screened minimum.  The screen errs by about 1e-7 at worst
+# (2.6e-8 seen), so the candidate a full 65-SVD scan picks is kept.
+_ORBIT_SCREEN_MARGIN = 1e-6
+
+
+def _orbit_screen(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray):
+    """Distances of (n, 2, 10) orthonormal rows turned by the (n, k) angles
+    of cos 2s, sin 2s, from the residual's 2x2 Gram (the squared sines).
+    Only columns 5 and 7 move it: 6 and 9 turn (v3, w3), keeping theirs."""
+    still = rows[:, :, [0, 1, 2, 3, 6, 9]]
+    base = still @ still.transpose(0, 2, 1)
+    v, w = rows[:, None, :, 4:7], rows[:, None, :, 7:10]
+    c5 = cos[..., None] * v[..., 1] + sin[..., None] * w[..., 1]
+    c7 = cos[..., None] * w[..., 0] - sin[..., None] * v[..., 0]
+    g00, g01, g11 = (base[:, None, i, j] + c5[..., i] * c5[..., j]
+                     + c7[..., i] * c7[..., j] for i, j in ((0, 0), (0, 1), (1, 1)))
+    mean, half = (g00 + g11) / 2, np.hypot((g00 - g11) / 2, g01)
+    return np.hypot(*(np.arcsin(np.sqrt(np.clip(e, 0.0, 1.0)))
+                      for e in (mean - half, mean + half)))
 
 
 def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -599,17 +618,22 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
         n = len(exact[chunk])
         candidates = np.append(np.broadcast_to(_ORBIT_GRID, (n, 64)),
                                exact[chunk, None], axis=1)
-        cos = np.cos(2.0 * candidates)[..., None, None]
-        sin = np.sin(2.0 * candidates)[..., None, None]
+        cos, sin = np.cos(2.0 * candidates), np.sin(2.0 * candidates)
+        screened = _orbit_screen(rows[chunk], cos, sin)
+        floor = np.min(screened, axis=1, keepdims=True)
+        r, c = np.nonzero((screened <= floor + _ORBIT_SCREEN_MARGIN)
+                          | np.isnan(floor))
+        cos, sin = cos[r, c, None, None], sin[r, c, None, None]
         # The residual against t0 is the rotated plane with its t0 slots
         # (columns 4 and 8) zeroed.  Its singular values are the sines of
         # the principal angles, exact in [0, pi/2] and precise near zero.
-        residual = np.broadcast_to(rows[chunk, None], (n, 65, 2, 10)).copy()
-        residual[..., 4:7] = cos * v[chunk, None] + sin * w[chunk, None]
-        residual[..., 7:10] = -sin * v[chunk, None] + cos * w[chunk, None]
+        residual = rows[chunk][r]
+        residual[..., 4:7] = cos * v[chunk][r] + sin * w[chunk][r]
+        residual[..., 7:10] = -sin * v[chunk][r] + cos * w[chunk][r]
         residual[..., 4:9:4] = 0.0
         sines = np.linalg.svd(residual, compute_uv=False)
-        dists = np.sqrt(np.sum(np.arcsin(np.clip(sines, 0.0, 1.0))**2, axis=-1))
+        dists = np.full((n, 65), np.inf)
+        dists[r, c] = np.sqrt(np.sum(np.arcsin(np.clip(sines, 0.0, 1.0))**2, -1))
         best = (np.arange(n), np.argmin(dists, axis=1))
         distances[chunk] = dists[best]
         angles[chunk] = candidates[best]
@@ -629,7 +653,9 @@ def special_orbit_distance(x: SpElement, y: SpElement) -> tuple:
     the chordal distance) is exact: the top eigenvector of a 2x2 form.
     Near the orbit that angle also minimizes the geodesic distance to
     third order, which is all the membership threshold can see; a grid of
-    64 angles guards the far-from-orbit regime.
+    64 angles guards the far-from-orbit regime.  Only the candidates within
+    _ORBIT_SCREEN_MARGIN of a closed-form screen's minimum take the SVD,
+    so the bits are those of an SVD at all 65.
     """
     distances, angles = _orbit_distance_rows(x.data[None], y.data[None])
     return float(distances[0]), float(angles[0])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -75,6 +76,11 @@ def _stats(values):
         "max": float(a.max()),
         "mean": float(a.mean()),
     }
+
+
+def _null(value):
+    """value, or None for the NaN of a measurement over an empty set."""
+    return None if np.isnan(value) else value
 
 
 def _vector(text: str) -> SpElement:
@@ -163,8 +169,8 @@ def _run_lemma1(cfg):
         "special_abs_c2": _stats(special_c2),
         "special_abs_c3": _stats(special_c3),
         "max_special_c3_unit_defect": report.max_special_c3_defect,
-        "min_generic_orbit_distance": report.min_generic_orbit_distance,
-        "max_special_orbit_distance": report.max_special_orbit_distance,
+        "min_generic_orbit_distance": _null(report.min_generic_orbit_distance),
+        "max_special_orbit_distance": _null(report.max_special_orbit_distance),
         "violation_count": len(report.violations),
     }
     # The x and y columns are classify-ready argument strings, so any
@@ -235,7 +241,7 @@ def _run_wilking(cfg):
         "case_counts": report.case_counts,
         "max_k_value": report.max_k_value,
         "max_commutator_residual": report.max_commutator_residual,
-        "recheck_headroom": report.recheck_headroom,
+        "recheck_headroom": _null(report.recheck_headroom),
         "failures": [
             {
                 "metric_index": i,
@@ -440,12 +446,15 @@ def build_parser(*, only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it was, so each is built once per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The top level has no option that takes a value, so a leading
     # subcommand name is the subcommand this command line runs.
-    parser = build_parser(only=argv[0] if argv and argv[0] in _SUBCOMMANDS
-                          else None)
+    parser = _parser(only=argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
 
     config = {"command": args.command, "tol": args.tol, "format": args.fmt}

@@ -246,3 +246,12 @@ def test_batched_bracket_matches_scalar_bracket_bit_for_bit():
                                   scalar.view(np.uint64))
     np.testing.assert_array_equal(_bracket_rows(a[:1], b[:1]).view(np.uint64),
                                   scalar[:1].view(np.uint64))
+
+
+def test_batched_bracket_returns_c_contiguous_rows():
+    # The rows rings hand the bracket to per-row matmuls, whose bits
+    # follow the layout of what they are given.
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1.0, 1.0, (2, 40, 10))
+    out = _bracket_rows(a[::2], b[1::2])
+    assert out.shape == (20, 10) and out.flags.c_contiguous

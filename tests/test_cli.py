@@ -17,6 +17,7 @@ from sp2curv import (
     reference_deformation,
     sectional_curvature,
 )
+from sp2curv import cli
 from sp2curv.cli import build_parser, main
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
@@ -173,6 +174,70 @@ def test_repeated_main_calls_give_what_fresh_processes_give(capsys):
     assert [code for code, _, _ in got] == [0, 2, 2, 0]
     for argv, result in zip(calls, got):
         assert result == _fresh_process(argv), argv
+
+
+def _report(capsys, argv, out=None):
+    code, stdout, err = _in_process(capsys, argv)
+    if out is not None and os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
+            stdout = _without_timing(fh.read())
+        os.remove(out)
+    return code, stdout, err
+
+
+def test_cached_parsers_give_what_fresh_parsers_give(capsys, monkeypatch,
+                                                     tmp_path):
+    out = str(tmp_path / "report.json")
+    generic = ["1,0,0,0,0,0,0,0,0", "0,0,0,1,0,0,0,0,0"]
+    calls = [
+        ["classify", T0_X, T0_Y],
+        ["classify", "1,0,0,0,1,0,0,0,0", "0,1,0,0,0,0,0,0,0"],
+        ["classify", T0_X, T0_Y, "--tol", "1e-12"],
+        ["classify", *generic, "--format", "csv"],
+        ["classify", *generic, "--out", out],
+        ["classify", T0_X, T0_Y],
+        ["lemma1", "--samples", "20", "--tol", "1e-9", "--format", "csv"],
+        ["lemma1", "--samples", "20", "--out", out],
+        ["lemma1", "--samples", "20"],
+    ]
+    cached = [_report(capsys, argv, out) for argv in calls]
+    assert cli._parser(only="classify") is cli._parser(only="classify")
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [_report(capsys, argv, out) for argv in calls]
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert cached == fresh
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+    assert build_parser(only="classify") is not build_parser(only="classify")
+
+
+# ---- empty measurements are null ----
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_lemma1_writes_null_for_an_empty_orbit_set(capsys):
+    code, out = run_cli(capsys, ["lemma1", "--family", "F4",
+                                 "--samples", "20"])
+    assert code == 0
+    summary = _strict_json(out)["summary"]
+    assert summary["max_special_orbit_distance"] is None
+    assert summary["min_generic_orbit_distance"] > 1e-8
+
+
+def test_wilking_writes_null_when_no_certificate_passes(monkeypatch):
+    report = experiments.verify_wilking(7, 5)
+    monkeypatch.setattr(cli, "verify_wilking", lambda *args, **kwargs:
+                        report._replace(recheck_headroom=float("nan")))
+    config = build_parser().parse_args(["wilking", "--samples", "5"])
+    results = cli._run_wilking(config)[0]
+    assert _strict_json(cli._render_json(results))["recheck_headroom"] is None
 
 
 # ---- classify ----
