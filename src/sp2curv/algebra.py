@@ -114,7 +114,10 @@ class SpElement:
 
     def in_m(self, tol: float = 1e-12) -> bool:
         """True if the element lies in the tangent model m (lam = 0)."""
-        return abs(self.data[0]) <= tol * max(1.0, float(np.abs(self.data).max()))
+        lam = abs(self.data[0])
+        if lam == 0.0 and tol > 0.0:  # passes at any scale, NaN or inf
+            return True
+        return lam <= tol * max(1.0, float(np.abs(self.data).max()))
 
     def in_h(self, tol: float = 1e-12) -> bool:
         """True if the element lies in the isotropy line h (u = v = w = 0)."""
@@ -236,12 +239,20 @@ def norm(x: SpElement) -> float:
 
 
 def _ad_h_arr(angle: float, a: np.ndarray) -> np.ndarray:
+    """ad_h's rotation of a (..., 10) array, row by row, on floats: the
+    roundings of numpy's elementwise steps without their call cost."""
     c = math.cos(2.0 * angle)
     s = math.sin(2.0 * angle)
-    out = a.copy()
-    out[4:7] = c * a[4:7] + s * a[7:10]
-    out[7:10] = -s * a[4:7] + c * a[7:10]
-    return out
+    rows = [(lam, u1, u2, u3, c * v1 + s * w1, c * v2 + s * w2, c * v3 + s * w3,
+             -s * v1 + c * w1, -s * v2 + c * w2, -s * v3 + c * w3)
+            for lam, u1, u2, u3, v1, v2, v3, w1, w2, w3 in a.reshape(-1, 10).tolist()]
+    return np.array(rows).reshape(a.shape)
+
+
+def _cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, term for term, without its call cost."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def ad_h(angle: float, x: SpElement) -> SpElement:

@@ -22,12 +22,13 @@ any basis of any rotation of a plane reduces to the same canonical pair.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_arr
+from .algebra import SpElement, _ad_h_arr, _bracket_rows, _cross
 from .curvature import _rows_dot, is_commuting_pair
+from .metric import _uniform
 
 __all__ = [
     "centralizer_in_m",
@@ -59,12 +60,7 @@ def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
     algebra (10 coordinates); the centralizer is its nullspace, read off
     from the singular values below tol times the largest one.
     """
-    cols = np.empty((10, 9))
-    basis = np.zeros(10)
-    for i in range(9):
-        basis[:] = 0.0
-        basis[i + 1] = 1.0
-        cols[:, i] = _bracket_arr(x.data, basis)
+    cols = _bracket_rows(np.broadcast_to(x.data, (9, 10)), np.eye(10)[1:]).T
     _, svals, vt = np.linalg.svd(cols)
     cutoff = tol * (svals[0] if svals[0] > 0.0 else 1.0)
     rank = int(np.sum(svals > cutoff))
@@ -97,13 +93,9 @@ class CartanClassification(NamedTuple):
     witness_matrix: np.ndarray
 
     def reconstruct(self) -> tuple:
-        rows = self.witness_matrix @ np.array(
-            [self.canonical_x.data, self.canonical_y.data]
-        )
-        return (
-            SpElement.from_array(_ad_h_arr(self.witness_angle, rows[0])),
-            SpElement.from_array(_ad_h_arr(self.witness_angle, rows[1])),
-        )
+        rows = _ad_h_arr(self.witness_angle, self.witness_matrix @ np.array(
+            [self.canonical_x.data, self.canonical_y.data]))
+        return SpElement.from_array(rows[0]), SpElement.from_array(rows[1])
 
 
 class _Reduction:
@@ -122,7 +114,7 @@ class _Reduction:
 
     def rotate(self, angle: float) -> None:
         if angle != 0.0:
-            self.rows = np.array([_ad_h_arr(angle, r) for r in self.rows])
+            self.rows = _ad_h_arr(angle, self.rows)
             self.theta += angle
 
     def mix(self, a) -> None:
@@ -216,7 +208,7 @@ def _reduce_case1(red: _Reduction) -> tuple:
     v1, v2 = red.vs()
     w1, w2 = red.ws()
     coeffs = np.array(
-        [np.cross(v1, w1), np.cross(v1, w2) + np.cross(v2, w1), np.cross(v2, w2)]
+        [_cross(v1, w1), _cross(v1, w2) + _cross(v2, w1), _cross(v2, w2)]
     )
     u_svd, svals, _ = np.linalg.svd(coeffs)
     _check(svals[0] > 1e-10, "vanishing alignment quadratic")
@@ -681,19 +673,13 @@ class PlaneSample(NamedTuple):
     gl2: np.ndarray
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
+def _random_unit(rng: np.random.Generator, to=None) -> np.ndarray:
+    """A random unit 3-vector, orthogonal to the unit vector to if given."""
     while True:
         vec = rng.normal(size=3)
-        n = float(np.linalg.norm(vec))
-        if n > 1e-3:
-            return vec / n
-
-
-def _random_unit_orthogonal(rng: np.random.Generator, to: np.ndarray) -> np.ndarray:
-    while True:
-        vec = rng.normal(size=3)
-        vec -= (vec @ to) * to
-        n = float(np.linalg.norm(vec))
+        if to is not None:
+            vec -= (vec @ to) * to
+        n = math.sqrt(vec @ vec)  # np.linalg.norm(vec), bit for bit
         if n > 1e-3:
             return vec / n
 
@@ -702,8 +688,8 @@ def _random_gl2(rng: np.random.Generator) -> np.ndarray:
     # Rejection keeps the recombination honestly invertible either way.
     while True:
         g = rng.normal(size=(2, 2))
-        det = abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-        if 0.2 <= det <= 5.0:
+        (a, b), (c, d) = g.tolist()
+        if 0.2 <= abs(a * d - b * c) <= 5.0:
             return g
 
 
@@ -741,32 +727,31 @@ def sample_cartan(family: str, rng) -> PlaneSample:
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if family == "F1":
         v = _random_unit(rng)
-        params = {"v": v, "w": _random_unit_orthogonal(rng, v)}
+        params = {"v": v, "w": _random_unit(rng, v)}
     elif family == "F2":
         u = _random_unit(rng)
-        if rng.uniform() < 0.15:
+        if rng.random() < 0.15:
             w = np.zeros(3)
         else:
-            w = rng.uniform(0.2, 2.0) * _random_unit_orthogonal(rng, u)
+            w = _uniform(rng, 0.2, 2.0) * _random_unit(rng, u)
         params = {"u": u, "w": w}
     elif family == "F3":
         u = _random_unit(rng)
-        params = {"u": u, "p": rng.uniform(0.25, 1.0) * _random_unit_orthogonal(rng, u)}
+        params = {"u": u, "p": _uniform(rng, 0.25, 1.0) * _random_unit(rng, u)}
     elif family == "F4":
         u = _random_unit(rng)
         params = {
             "u": u,
-            "p": rng.uniform(0.3, 1.0) * _random_unit_orthogonal(rng, u),
-            "mu": float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)),
+            "p": _uniform(rng, 0.3, 1.0) * _random_unit(rng, u),
+            # rng.integers(2) is the draw rng.choice([-1.0, 1.0]) makes.
+            "mu": (-1.0, 1.0)[rng.integers(2)] * _uniform(rng, 0.2, 2.0),
         }
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    angle = float(rng.uniform(0.0, math.pi))
+    angle = _uniform(rng, 0.0, math.pi)
     gl2 = _random_gl2(rng)
-    rows = _canonical_rows(family, params)
-    rows = np.array([_ad_h_arr(angle, r) for r in rows])
-    rows = gl2 @ rows
+    rows = gl2 @ _ad_h_arr(angle, _canonical_rows(family, params))
     return PlaneSample(
         x=SpElement.from_array(rows[0]),
         y=SpElement.from_array(rows[1]),

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _bracket_arr, _bracket_rows
+from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_rows
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -72,8 +72,8 @@ class TangentPlane:
     def __init__(self, x: SpElement, y: SpElement):
         if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
             raise ValueError("plane vectors must lie in m")
-        nx = float(np.sqrt(x.data @ x.data))
-        ny = float(np.sqrt(y.data @ y.data))
+        nx = math.sqrt(x.data @ x.data)
+        ny = math.sqrt(y.data @ y.data)
         if nx == 0.0 or ny == 0.0:
             raise ValueError("plane vectors must be nonzero")
         cosine = float(x.data @ y.data) / (nx * ny)
@@ -87,9 +87,9 @@ class TangentPlane:
 
     def orthonormalized(self) -> "TangentPlane":
         """Gram-Schmidt in the bi-invariant product, x direction first."""
-        a = self.x.data / np.sqrt(self.x.data @ self.x.data)
+        a = self.x.data / math.sqrt(self.x.data @ self.x.data)
         b = self.y.data - (self.y.data @ a) * a
-        b = b / np.sqrt(b @ b)
+        b = b / math.sqrt(b @ b)
         return TangentPlane(SpElement.from_array(a), SpElement.from_array(b))
 
     def basis_changed(self, g) -> "TangentPlane":
@@ -101,12 +101,8 @@ class TangentPlane:
         )
 
     def rotated(self, angle: float) -> "TangentPlane":
-        from .algebra import _ad_h_arr
-
-        return TangentPlane(
-            SpElement.from_array(_ad_h_arr(angle, self.x.data)),
-            SpElement.from_array(_ad_h_arr(angle, self.y.data)),
-        )
+        x, y = _ad_h_arr(angle, self.rows())
+        return TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
 
     def __repr__(self) -> str:
         return f"TangentPlane(x={self.x!r}, y={self.y!r})"

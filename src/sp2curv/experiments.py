@@ -21,6 +21,7 @@ so results are independent of iteration order and process count.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from typing import NamedTuple
@@ -31,8 +32,9 @@ from .algebra import (
     E1,
     E2,
     SpElement,
+    _ad_h_arr,
     _bracket_rows,
-    ad_h,
+    _cross,
     bi_inner,
     bracket,
     bi_inner_trace_form,
@@ -64,6 +66,7 @@ from .metric import (
     DeformedMetric,
     MetricDeformation,
     _metric_blocks,
+    _uniform,
     random_admissible_metric,
     random_deformation,
     reference_deformation,
@@ -116,15 +119,18 @@ _FAMILIES = ("F1", "F2", "F3", "F4")
 _ADVERSARIAL_MIN_SCALE = 1e-3
 _ADVERSARIAL_MAX_SCALE = 1e-1
 _TRANSVERSE_FLOOR = 0.2
+_LOG_SCALES = (float(np.log10(_ADVERSARIAL_MIN_SCALE)),
+               float(np.log10(_ADVERSARIAL_MAX_SCALE)))
+
+# The rows (0, 0, e1, 0) and (0, 0, 0, e2) of the distinguished plane.
+_T0 = np.zeros((2, 10))
+_T0[0, 4:7] = E1
+_T0[1, 7:10] = E2
 
 
 def special_plane() -> TangentPlane:
     """The distinguished commuting plane spanned by (0,0,e1,0), (0,0,0,e2)."""
-    x = np.zeros(10)
-    x[4:7] = E1
-    y = np.zeros(10)
-    y[7:10] = E2
-    return TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
+    return TangentPlane(SpElement.from_array(_T0[0]), SpElement.from_array(_T0[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +225,12 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
@@ -232,11 +242,10 @@ def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
     distance comparable to the tilt, so the plane lands safely on the
     generic side of the dichotomy.
     """
-    delta = 10.0 ** rng.uniform(np.log10(_ADVERSARIAL_MIN_SCALE),
-                                np.log10(_ADVERSARIAL_MAX_SCALE))
-    d1 = _unit(np.cross(E1, rng.normal(size=3)))
+    delta = 10.0 ** _uniform(rng, *_LOG_SCALES)
+    d1 = _unit(_cross(E1, rng.normal(size=3)))
     v = _unit(E1 + delta * d1)
-    d2 = np.cross(E2, rng.normal(size=3))
+    d2 = _cross(E2, rng.normal(size=3))
     d2 = _unit(d2 - np.dot(d2, v) * v)
     w = _unit(E2 - np.dot(E2, v) * v + delta * d2)
     return SpElement(0.0, 0.0, v, 0.0), SpElement(0.0, 0.0, 0.0, w)
@@ -252,29 +261,23 @@ def _adversarial_centralizer(rng) -> tuple[SpElement, SpElement]:
     nudges would leave the plane in the no-man's-land between the orbit
     tolerance and the c2 threshold.
     """
-    delta = 10.0 ** rng.uniform(np.log10(_ADVERSARIAL_MIN_SCALE),
-                                np.log10(_ADVERSARIAL_MAX_SCALE))
+    delta = 10.0 ** _uniform(rng, *_LOG_SCALES)
     while True:
-        r = rng.normal(size=3)
-        r /= np.linalg.norm(r)
-        if np.linalg.norm(r - np.dot(r, E1) * E1) >= _TRANSVERSE_FLOOR:
+        r = _unit(rng.normal(size=3))
+        if _norm(r - np.dot(r, E1) * E1) >= _TRANSVERSE_FLOOR:
             break
     x = SpElement(0.0, 0.0, _unit(E1 + delta * r), 0.0)
     basis = centralizer_in_m(x)
-    target = SpElement(0.0, 0.0, 0.0, E2).data
-    coeffs = basis @ target
-    y = basis.T @ coeffs
+    y = basis.T @ (basis @ _T0[1])
     y -= np.dot(y, x.data) * x.data / float(np.dot(x.data, x.data))
     return x, SpElement.from_array(_unit(y))
 
 
 def _adversarial_on_orbit(rng) -> tuple[SpElement, SpElement]:
     """An exact point of the distinguished orbit, in disguised basis."""
-    base = special_plane()
-    angle = rng.uniform(0.0, np.pi)
-    rows = np.vstack([ad_h(angle, base.x).data, ad_h(angle, base.y).data])
+    rows = _ad_h_arr(_uniform(rng, 0.0, np.pi), _T0)
     while True:
-        g = rng.uniform(-1.0, 1.0, (2, 2))
+        g = _uniform(rng, -1.0, 1.0, (2, 2))
         if abs(np.linalg.det(g)) > 0.2:
             break
     mixed = g @ rows

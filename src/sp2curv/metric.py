@@ -32,6 +32,10 @@ __all__ = [
 
 _EIG_FLOOR = 1e-9  # smallest eigenvalue a positive definite block may have
 _SHAPE_TOL = 1e-10
+# Flat indices of the blocks A, C and B of matrix9, and of their mirror
+# images across its diagonal, which hold A.T, C.T and -B.T.
+_BLOCKS = np.add.outer([0, 30, 57], [0, 1, 2, 9, 10, 11, 18, 19, 20])
+_MIRRORS = _BLOCKS % 9 * 9 + _BLOCKS // 9
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -41,31 +45,36 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _uniform(rng: np.random.Generator, low, high, size=None):
+    """rng.uniform(low, high, size): the same draws, bits and state, as
+    numpy computes them (low + (high - low) u), at rng.random's cost."""
+    return low + (high - low) * rng.random(size)
+
+
 class MetricDeformation:
     """Block triple (A, B, C): A, C symmetric, B antisymmetric."""
 
     __slots__ = ("A", "B", "C", "matrix9")
 
     def __init__(self, A, B, C):
-        A = np.array(A, dtype=float)
-        B = np.array(B, dtype=float)
-        C = np.array(C, dtype=float)
+        A, B, C = (np.array(m, dtype=float) for m in (A, B, C))
         for name, m in (("A", A), ("B", B), ("C", C)):
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3, got {m.shape}")
-        scale = 1.0 + max(np.abs(A).max(), np.abs(B).max(), np.abs(C).max())
-        if np.abs(A - A.T).max() > _SHAPE_TOL * scale:
-            raise ValueError("A must be symmetric")
-        if np.abs(C - C.T).max() > _SHAPE_TOL * scale:
-            raise ValueError("C must be symmetric")
-        if np.abs(B + B.T).max() > _SHAPE_TOL * scale:
-            raise ValueError("B must be antisymmetric")
         m9 = np.zeros((9, 9))
         m9[0:3, 0:3] = A
-        m9[3:6, 3:6] = C
+        m9[3:6, 3:6] = m9[6:9, 6:9] = C
         m9[3:6, 6:9] = -B
         m9[6:9, 3:6] = B
-        m9[6:9, 6:9] = C
+        # The largest |entry| of A, C, B and of A - A.T, C - C.T, B + B.T
+        # (a NaN if any), read off the blocks of m9 and their mirrors.
+        blocks = m9.ravel()[_BLOCKS]
+        size = np.abs(blocks).max(axis=1).tolist()
+        gap = np.abs(blocks - m9.ravel()[_MIRRORS]).max(axis=1).tolist()
+        scale = 1.0 + max(size[0], size[2], size[1])
+        for name, err, kind in zip("ACB", gap, ("", "", "anti")):
+            if err > _SHAPE_TOL * scale:
+                raise ValueError(f"{name} must be {kind}symmetric")
         for m in (A, B, C, m9):
             m.setflags(write=False)
         self.A = A
@@ -214,19 +223,7 @@ def random_deformation(seed) -> MetricDeformation:
 
     No positivity is imposed; this is the sampler for deformation sweeps.
     """
-    rng = as_generator(seed)
-
-    def symmetric():
-        m = np.zeros((3, 3))
-        m[_UPPER] = rng.uniform(-1.0, 1.0, 3)
-        m = m + m.T
-        np.fill_diagonal(m, rng.uniform(-1.0, 1.0, 3))
-        return m
-
-    a = symmetric()
-    b = np.zeros((3, 3))
-    b[_UPPER] = rng.uniform(-1.0, 1.0, 3)
-    return MetricDeformation(a, b - b.T, symmetric())
+    return _random_triple(as_generator(seed), *_DEFORMATION_BOUNDS, 6)
 
 
 def random_admissible_metric(seed, max_attempts: int = 1000) -> MetricDeformation:
@@ -240,27 +237,32 @@ def random_admissible_metric(seed, max_attempts: int = 1000) -> MetricDeformatio
     """
     rng = as_generator(seed)
     for _ in range(max_attempts):
-        a = _random_symmetric(rng)
-        c = _random_symmetric(rng)
-        b = _random_antisymmetric(rng)
-        triple = MetricDeformation(a, b, c)
+        triple = _random_triple(rng, *_ADMISSIBLE_BOUNDS, 12)
         if triple.is_positive_definite():
             return triple
     raise RuntimeError("rejection sampling failed to find a positive metric")
 
 
-_UPPER = np.triu_indices(3, k=1)
+# Bounds of the 15 uniform draws of one triple: the upper triangle and
+# then the diagonal of A, the same of C, and B's upper triangle, which a
+# deformation draws between A and C and a metric after C.
+_DEFORMATION_BOUNDS = np.full((2, 15), [[-1.0], [1.0]])
+_ADMISSIBLE_BOUNDS = np.repeat([[-0.4, 0.3, -0.4, 0.3, -0.6],
+                                [0.4, 1.7, 0.4, 1.7, 0.6]], 3, axis=1)
 
 
-def _random_symmetric(rng: np.random.Generator) -> np.ndarray:
-    m = np.zeros((3, 3))
-    m[_UPPER] = rng.uniform(-0.4, 0.4, 3)
-    m = m + m.T
-    np.fill_diagonal(m, rng.uniform(0.3, 1.7, 3))
-    return m
+def _random_triple(rng, low, high, b_at: int) -> MetricDeformation:
+    """The triple of the 15 draws between low and high, B's three at b_at,
+    with the bits of m + m.T and m - m.T of zero-filled upper triangles:
+    x + 0.0 is x (no draw with low < 0 < high is -0.0); 0.0 - x is kept."""
+    d = _uniform(rng, low, high, 15).tolist()
+    b01, b02, b12 = d[b_at:b_at + 3]
+    del d[b_at:b_at + 3]
 
+    def symmetric(x01, x02, x12, d0, d1, d2):
+        return [[d0, x01, x02], [x01, d1, x12], [x02, x12, d2]]
 
-def _random_antisymmetric(rng: np.random.Generator) -> np.ndarray:
-    m = np.zeros((3, 3))
-    m[_UPPER] = rng.uniform(-0.6, 0.6, 3)
-    return m - m.T
+    return MetricDeformation(
+        symmetric(*d[:6]),
+        [[0.0, b01, b02], [0.0 - b01, 0.0, b12], [0.0 - b02, 0.0 - b12, 0.0]],
+        symmetric(*d[6:]))
