@@ -119,11 +119,6 @@ class SpElement:
             return True
         return lam <= tol * max(1.0, float(np.abs(self.data).max()))
 
-    def in_h(self, tol: float = 1e-12) -> bool:
-        """True if the element lies in the isotropy line h (u = v = w = 0)."""
-        scale = max(1.0, float(np.abs(self.data).max()))
-        return float(np.abs(self.data[1:]).max(initial=0.0)) <= tol * scale
-
     def __add__(self, other: "SpElement") -> "SpElement":
         return SpElement.from_array(self.data + other.data)
 
@@ -408,8 +403,3 @@ def bi_inner_trace_form(x: SpElement, y: SpElement) -> float:
     ratio is exactly 2 on every factor).
     """
     return (to_matrix(x) @ to_matrix(y)).minus_re_trace()
-
-
-def elements_close(x: SpElement, y: SpElement, atol: float = 1e-12) -> bool:
-    """Componentwise comparison helper used by the verification suites."""
-    return bool(np.all(np.abs(x.data - y.data) <= atol))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import SpElement, _ad_h_arr, _bracket_rows, _cross
 from .curvature import _rows_dot, is_commuting_pair
-from .metric import _uniform
+from .metric import _uniform, as_generator
 
 __all__ = [
     "centralizer_in_m",
@@ -245,11 +245,7 @@ def _reduce_case1(red: _Reduction) -> tuple:
     _check(_parallel_residual(red.ws()[1], m2) <= _RESIDUAL_TOL, "second element drift")
     red.mix(np.diag([1.0 / r1, 1.0 / q2]))
 
-    canonical = np.zeros((2, 10))
-    canonical[0, 4:7] = m1
-    canonical[1, 7:10] = m2
-    params = {"v": m1, "w": m2}
-    return "F1", params, canonical
+    return "F1", {"v": m1, "w": m2}
 
 
 def _reduce_case2(red: _Reduction) -> tuple:
@@ -297,12 +293,7 @@ def _reduce_case2(red: _Reduction) -> tuple:
     if float(np.linalg.norm(w_vec)) <= _RANK_TOL:
         w_vec = np.zeros(3)
 
-    canonical = np.zeros((2, 10))
-    canonical[0, 1:4] = u_dir
-    canonical[0, 7:10] = w_vec
-    canonical[1, 4:7] = u_dir
-    params = {"u": u_dir, "w": w_vec, "ell": float(np.linalg.norm(w_vec))}
-    return "F2", params, canonical
+    return "F2", {"u": u_dir, "w": w_vec, "ell": float(np.linalg.norm(w_vec))}
 
 
 def _null_direction_2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -375,13 +366,7 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
     ell = float(np.linalg.norm(u_perp))
     _check(1e-8 < ell <= 1.0 + 1e-9, "F3 length out of range")
 
-    canonical = np.zeros((2, 10))
-    canonical[0, 1:4] = u_dir
-    canonical[0, 4:7] = u_perp
-    canonical[1, 1:4] = u_perp
-    canonical[1, 4:7] = u_dir
-    params = {"u": u_dir, "p": u_perp, "ell": ell}
-    return "F3", params, canonical
+    return "F3", {"u": u_dir, "p": u_perp, "ell": ell}
 
 
 def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
@@ -446,14 +431,8 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
         red.rotate(0.5 * math.pi)
         red.mix(np.diag([1.0, -1.0]))
 
-    canonical = np.zeros((2, 10))
-    canonical[0, 1:4] = u_dir
-    canonical[0, 4:7] = p_vec
-    canonical[1, 1:4] = p_vec
-    canonical[1, 4:7] = u_dir
-    canonical[1, 7:10] = mu * u_dir
-    params = {"u": u_dir, "p": p_vec, "mu": mu, "ell": float(np.linalg.norm(p_vec))}
-    return "F4", params, canonical
+    return "F4", {"u": u_dir, "p": p_vec, "mu": mu,
+                  "ell": float(np.linalg.norm(p_vec))}
 
 
 def _reduce_case3(red: _Reduction) -> tuple:
@@ -519,17 +498,18 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
             u_svals = np.linalg.svd(red.us(), compute_uv=False)
             urank = int(np.sum(u_svals > _RANK_TOL))
             if urank == 0:
-                family, params, canonical = _reduce_case1(red)
+                family, params = _reduce_case1(red)
             elif urank == 1:
-                family, params, canonical = _reduce_case2(red)
+                family, params = _reduce_case2(red)
             else:
-                family, params, canonical = _reduce_case3(red)
+                family, params = _reduce_case3(red)
         except _ReductionFailed as failure:
             last_failure = str(failure)
             continue
 
         witness_angle = -red.theta % math.pi
         witness_matrix = np.linalg.inv(red.amat)
+        canonical = _canonical_rows(family, params)
         result = CartanClassification(
             family=family,
             parameters=params,
@@ -694,6 +674,7 @@ def _random_gl2(rng: np.random.Generator) -> np.ndarray:
 
 
 def _canonical_rows(family: str, params: dict) -> np.ndarray:
+    """The (2, 10) canonical pair of a family with these parameters."""
     rows = np.zeros((2, 10))
     if family == "F1":
         rows[0, 4:7] = params["v"]
@@ -724,7 +705,7 @@ def sample_cartan(family: str, rng) -> PlaneSample:
     Canonical parameters are drawn from bounded ranges, then hidden behind
     a random rotation and a random invertible recombination.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = as_generator(rng)
     if family == "F1":
         v = _random_unit(rng)
         params = {"v": v, "w": _random_unit(rng, v)}

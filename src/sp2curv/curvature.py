@@ -15,16 +15,18 @@ with every pairing taken in the metric <a,b> = <a, M_t b>_bi and
 
 The sectional curvature is K = C / S with S = g(X,X) g(Y,Y) - g(X,Y)^2.
 
-The formula is written once and evaluated in four rings.  At a fixed t the
-values are (10,) arrays and M_t^{-1} is the exact block inverse.  For many
-planes they are (n, 10) arrays, one plane vector per row; the rows share
-one metric (a fixed-t scan) or carry one metric each (the Wilking suite).
+The formula is written once and evaluated in three rings.  At a fixed t
+the values are (n, 10) arrays, one plane vector per row, and M_t^{-1} is
+the exact block inverse; the rows share one metric (a fixed-t scan, or one
+plane as a stack of one) or carry one metric each (the Wilking suite).
 At t = 0 the values are degree-4 truncated power series (jets) in t:
 M_t^{-1} enters through its Neumann series, so every coefficient through
-t^4 is exact up to rounding, with no step-size error.  Jets of many
-planes, each under its own deformation, are (k, n, 10) arrays.  In both
-rows rings an operator acts on a row, and two rows pair, as one small
-stacked matmul per row, so each row is computed as if it were alone.
+t^4 is exact up to rounding, with no step-size error.  The jets of one
+plane are (k, 10) arrays, and the jets of many planes, each under its own
+deformation, are (k, n, 10) arrays; the two jet rings share their Cauchy
+loops and differ only in their primitives.  In both rows rings an
+operator acts on a row, and two rows pair, as one small stacked matmul
+per row, so each row is computed as if it were alone.
 For commuting pairs the second derivative collapses to the closed form
 C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 """
@@ -92,14 +94,6 @@ class TangentPlane:
         b = b / math.sqrt(b @ b)
         return TangentPlane(SpElement.from_array(a), SpElement.from_array(b))
 
-    def basis_changed(self, g) -> "TangentPlane":
-        """Recombine the basis by an invertible 2x2 matrix g (rows act)."""
-        g = np.asarray(g, dtype=float)
-        new = g @ self.rows()
-        return TangentPlane(
-            SpElement.from_array(new[0]), SpElement.from_array(new[1])
-        )
-
     def rotated(self, angle: float) -> "TangentPlane":
         x, y = _ad_h_arr(angle, self.rows())
         return TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
@@ -161,53 +155,12 @@ class Jet:
         c.setflags(write=False)
         self.c = c
 
-    @classmethod
-    def constant(cls, value: float) -> "Jet":
-        return cls([value])
-
-    @classmethod
-    def variable(cls) -> "Jet":
-        """The jet of t itself."""
-        return cls([0.0, 1.0])
-
     def __getitem__(self, k: int) -> float:
         return float(self.c[k])
 
     def derivative(self, k: int) -> float:
         """k-th derivative at 0, i.e. k! times the k-th coefficient."""
         return math.factorial(k) * float(self.c[k])
-
-    def evaluate(self, t: float) -> float:
-        return float(np.polyval(self.c[::-1], t))
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.c + other.c)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.c - other.c)
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            out = np.zeros(_JET_ORDER + 1)
-            for k in range(_JET_ORDER + 1):
-                out[k] = float(self.c[: k + 1] @ other.c[k::-1])
-            return Jet(out)
-        return Jet(self.c * float(other))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet":
-        """Truncated series inverse; requires |c0| > 1e-12."""
-        if abs(self.c[0]) <= 1e-12:
-            raise ZeroDivisionError("jet has (numerically) vanishing constant term")
-        out = np.zeros(_JET_ORDER + 1)
-        out[0] = 1.0 / self.c[0]
-        for k in range(1, _JET_ORDER + 1):
-            out[k] = -float(self.c[1 : k + 1] @ out[k - 1 :: -1]) / self.c[0]
-        return Jet(out)
 
     def __repr__(self) -> str:
         return f"Jet({self.c.tolist()!r})"
@@ -256,22 +209,7 @@ def _six_terms(ring, x, y, mx=None, my=None):
             - inner(u_xx, apply(u_yy)))
 
 
-# ---- exact evaluation at a fixed t ----
-
-
-class _FixedRing:
-    """Values are (10,) arrays, with M_t and its block inverse exact."""
-
-    __slots__ = ("apply", "solve")
-    br = staticmethod(_bracket_arr)
-    inner = staticmethod(operator.matmul)
-
-    def __init__(self, m: DeformedMetric):
-        self.apply = m._apply_arr
-        self.solve = m._solve_arr
-
-
-# ---- many planes at one fixed t ----
+# ---- planes at a fixed t ----
 
 
 def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -344,10 +282,17 @@ _ROWS_CHUNK = 256
 _JET_CHUNK = 1024
 
 
+def _metric_ring(m: DeformedMetric) -> _RowsRing:
+    """The rows ring of one metric, its blocks as stacks of one."""
+    return _RowsRing(m.operator_a()[None], m.operator_block6()[None],
+                     m._inv_a[None], m._inv_block6[None])
+
+
 def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray):
     """C and S for the planes spanned by the rows of (n, 10) arrays x, y.
 
-    Raises ValueError, like sectional_curvature, if any S is nonpositive.
+    S = g(x,x) g(y,y) - g(x,y)^2.  Raises ValueError if any S is
+    nonpositive.
     """
     mx, my = ring.apply(x), ring.apply(y)
     xmy = _rows_dot(x, my)
@@ -360,8 +305,7 @@ def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray):
 def _sectional_curvature_rows(m: DeformedMetric, x: np.ndarray,
                               y: np.ndarray) -> np.ndarray:
     """K = C / S for the planes spanned by the rows of (n, 10) arrays x, y."""
-    ring = _RowsRing(m.operator_a(), m.operator_block6(), m._inv_a,
-                     m._inv_block6)
+    ring = _metric_ring(m)
     k = np.empty(len(x))
     for lo in range(0, len(x), _ROWS_CHUNK):
         rows = slice(lo, lo + _ROWS_CHUNK)
@@ -374,32 +318,33 @@ def u_tensor(m: DeformedMetric, x: SpElement, y: SpElement) -> SpElement:
     """U(X,Y) = 1/2 M^{-1} ([X, MY] + [Y, MX])_m, symmetric in (x, y)."""
     if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
         raise ValueError("u_tensor arguments must lie in m")
-    ring = _FixedRing(m)
-    return SpElement.from_array(
-        _u(ring, x.data, ring.apply(x.data), y.data, ring.apply(y.data))
-    )
+    ring = _metric_ring(m)
+    a, b = x.data[None], y.data[None]
+    return SpElement.from_array(_u(ring, a, ring.apply(a), b, ring.apply(b))[0])
 
 
 def numerator(m: DeformedMetric, plane: TangentPlane) -> float:
     """The six-term curvature numerator C(X, Y, t)."""
-    return float(_six_terms(_FixedRing(m), plane.x.data, plane.y.data))
+    x, y = plane.x.data[None], plane.y.data[None]
+    return float(_six_terms(_metric_ring(m), x, y)[0])
 
 
 def denominator(m: DeformedMetric, plane: TangentPlane) -> float:
-    """S = g(X,X) g(Y,Y) - g(X,Y)^2, strictly positive on valid planes."""
-    x = plane.x.data
-    y = plane.y.data
-    mx = m._apply_arr(x)
-    my = m._apply_arr(y)
-    return float((x @ mx) * (y @ my) - (x @ my) ** 2)
+    """S = g(X,X) g(Y,Y) - g(X,Y)^2, strictly positive on valid planes.
+
+    It is sectional_curvature's S, and raises its ValueError.
+    """
+    return sectional_curvature(m, plane).s_value
 
 
 def sectional_curvature(m: DeformedMetric, plane: TangentPlane) -> CurvatureReport:
-    """K = C / S for the plane at the base point."""
-    c = numerator(m, plane)
-    s = denominator(m, plane)
-    if s <= 0.0:
-        raise ValueError("degenerate plane: nonpositive metric Gram determinant")
+    """K = C / S for the plane at the base point.
+
+    Raises ValueError on a degenerate plane (S <= 0).
+    """
+    c, s = _curvature_rows(_metric_ring(m), plane.x.data[None],
+                           plane.y.data[None])
+    c, s = float(c[0]), float(s[0])
     return CurvatureReport(c_value=c, s_value=s, k_value=c / s)
 
 
@@ -421,6 +366,12 @@ def _cauchy(p, q, mul) -> list:
     return out
 
 
+def _pad_rows(coefficients: list) -> np.ndarray:
+    out = np.zeros((_JET_ORDER + 1,) + coefficients[0].shape)
+    out[: len(coefficients)] = coefficients
+    return out
+
+
 class _JetRing:
     """Values are (k, 10) arrays of coefficients of t^0 .. t^(k-1), k <= 5.
 
@@ -428,13 +379,13 @@ class _JetRing:
     shifts L p up one power, and M_t^{-1} is its Neumann series.  The
     loops are written over the leading (power) axis only; ``_br``,
     ``_dot`` and ``_act`` (a 9x9 coefficient matrix acting on the m part
-    of one coefficient) are the primitives.
+    of one coefficient) are the primitives.  Inner products are (5,)
+    coefficient arrays.
     """
 
     __slots__ = ("lam9", "neumann")
     _br = staticmethod(_bracket_arr)
     _dot = staticmethod(operator.matmul)
-    _wrap = Jet
 
     @staticmethod
     def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -450,8 +401,8 @@ class _JetRing:
     def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.array(_cauchy(p, q, self._br))
 
-    def inner(self, p: np.ndarray, q: np.ndarray):
-        return self._wrap(_cauchy(p, q, self._dot))
+    def inner(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _pad_rows(_cauchy(p, q, self._dot))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         out = np.zeros((min(len(p) + 1, _JET_ORDER + 1),) + p.shape[1:])
@@ -470,12 +421,6 @@ class _JetRing:
         return out
 
 
-def _pad_rows(coefficients: list) -> np.ndarray:
-    out = np.zeros((_JET_ORDER + 1,) + coefficients[0].shape)
-    out[: len(coefficients)] = coefficients
-    return out
-
-
 class _JetRowsRing(_JetRing):
     """Values are (k, n, 10) arrays: row r holds a jet of plane r.
 
@@ -490,7 +435,6 @@ class _JetRowsRing(_JetRing):
     __slots__ = ()
     _br = staticmethod(_bracket_rows)
     _dot = staticmethod(_rows_dot)
-    _wrap = staticmethod(_pad_rows)
 
     @staticmethod
     def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -529,7 +473,7 @@ def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:
     Coefficients c0..c4 are exact up to rounding; the k-th derivative of C
     at 0 is k! * c_k.
     """
-    return _six_terms(_JetRing(d), plane.x.data[None], plane.y.data[None])
+    return Jet(_six_terms(_JetRing(d), plane.x.data[None], plane.y.data[None]))
 
 
 def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL_TOL) -> bool:

@@ -52,6 +52,7 @@ from .curvature import (
     TangentPlane,
     _RowsRing,
     _curvature_rows,
+    _metric_ring,
     _numerator_jet_rows,
     _orthonormal_rows,
     _rows_dot,
@@ -766,13 +767,6 @@ def _wilking_recheck(ring: _RowsRing, x, z, y, lam, c, k, tol: float):
     return tuple(np.column_stack(np.broadcast_arrays(*side)) for side in zip(*steps))
 
 
-def _one_metric(metric: DeformedMetric):
-    """The blocks of one metric as stacks of one, and their ring."""
-    op_a, op_b6 = metric.operator_a()[None], metric.operator_block6()[None]
-    return op_a, op_b6, _RowsRing(op_a, op_b6, metric._inv_a[None],
-                                  metric._inv_block6[None])
-
-
 def _certificate(rows: tuple, i: int) -> WilkingCertificate:
     x, z, y, k, c, lam, case = (r[i] for r in rows)
     return WilkingCertificate(tuple(x.tolist()), tuple(z.tolist()),
@@ -785,7 +779,9 @@ def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
 
     It is the metric's row of verify_wilking, to the bit.
     """
-    return _certificate(_wilking_rows(*_one_metric(metric)), 0)
+    return _certificate(_wilking_rows(metric.operator_a()[None],
+                                      metric.operator_block6()[None],
+                                      _metric_ring(metric)), 0)
 
 
 def verify_wilking_inequalities(metric: DeformedMetric,
@@ -798,7 +794,7 @@ def verify_wilking_inequalities(metric: DeformedMetric,
     terms in w; the eigenvalue bounds squeeze those terms below zero.
     It is verify_wilking's recheck on a stack of one.
     """
-    _, _, ring = _one_metric(metric)
+    ring = _metric_ring(metric)
     x, z, y = (np.array([v], dtype=float) for v in (cert.x, cert.z, cert.y))
     residuals, bounds = _wilking_recheck(
         ring, x, z, y, np.array([cert.smallest_eigenvalue]),

@@ -9,7 +9,6 @@ from sp2curv import (
     E1,
     E2,
     E3,
-    Jet,
     SpElement,
     TangentPlane,
     bi_inner,
@@ -20,6 +19,7 @@ from sp2curv import (
     numerator_jet,
     project_h,
     project_m,
+    random_admissible_metric,
     random_deformation,
     reference_deformation,
     sample_commuting_plane,
@@ -39,39 +39,6 @@ from sp2curv.curvature import (
 from sp2curv.experiments import _FRONTIER_GRID
 
 from conftest import element
-
-
-# ---- jet arithmetic ----
-
-
-def test_jet_ring_operations():
-    a = Jet.constant(2.0) + Jet.variable()
-    b = a * a
-    np.testing.assert_allclose(b.c, [4.0, 4.0, 1.0, 0.0, 0.0])
-    c = b - 3.0 * Jet.variable()
-    np.testing.assert_allclose(c.c, [4.0, 1.0, 1.0, 0.0, 0.0])
-    assert c.evaluate(0.1) == pytest.approx(4.0 + 0.1 + 0.01, abs=1e-15)
-    assert c.derivative(2) == pytest.approx(2.0)
-
-
-def test_jet_truncation_degree_four():
-    t = Jet.variable()
-    p = t * t * t * t * t
-    np.testing.assert_array_equal(p.c, np.zeros(5))
-
-
-def test_jet_reciprocal():
-    a = Jet.constant(1.0) - Jet.variable()
-    inv = a.reciprocal()
-    np.testing.assert_allclose(inv.c, np.ones(5), atol=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        Jet.variable().reciprocal()
-
-
-def test_jet_reciprocal_is_inverse():
-    a = Jet(np.array([2.0, -1.0, 0.5, 0.3, -0.2]))
-    prod = a * a.reciprocal()
-    np.testing.assert_allclose(prod.c, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 # ---- tangent planes ----
@@ -185,7 +152,8 @@ def test_jet_evaluates_to_numerator_within_truncation(generic_triple):
     # relative while finite differences could never get close to that.
     t = 1e-3
     exact = numerator(DeformedMetric(generic_triple, t), plane)
-    assert jet.evaluate(t) == pytest.approx(exact, rel=1e-8, abs=1e-15)
+    assert np.polyval(jet.c[::-1], t) == pytest.approx(exact, rel=1e-8,
+                                                      abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -204,8 +172,8 @@ def test_jet_matches_numerator_on_generic_planes(seed):
         assert not is_commuting_pair(plane.x, plane.y)
         jet = numerator_jet(d, plane)
         assert jet[0] == numerator(at_zero, plane)
-        assert jet.evaluate(1e-3) == pytest.approx(numerator(at_small, plane),
-                                                   rel=1e-10)
+        assert np.polyval(jet.c[::-1], 1e-3) == pytest.approx(
+            numerator(at_small, plane), rel=1e-10)
 
 
 # ---- the commuting closed form ----
@@ -257,7 +225,9 @@ def test_sectional_curvature_basis_invariance(generic_triple):
     plane, _, _ = sample_commuting_plane(903, 1)
     k0 = sectional_curvature(m, plane).k_value
     g = np.array([[2.0, 1.0], [0.5, 1.0]])
-    k1 = sectional_curvature(m, plane.basis_changed(g)).k_value
+    x, y = g @ plane.rows()
+    changed = TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
+    k1 = sectional_curvature(m, changed).k_value
     k2 = sectional_curvature(m, plane.orthonormalized()).k_value
     assert k1 == pytest.approx(k0, rel=1e-10)
     assert k2 == pytest.approx(k0, rel=1e-10)
@@ -389,6 +359,42 @@ def test_batched_curvature_rejects_degenerate_row():
         y_bad[5] = bad
         with pytest.raises(ValueError, match="degenerate plane"):
             _sectional_curvature_rows(metric, x, y_bad)
+
+
+# ---- one plane is the one-row case ----
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_plane_values_are_rows_of_any_stack(seed):
+    metric = random_admissible_metric(seed).as_metric()
+    planes, x, y = _mixed_planes(seed, 128)
+    num = np.array([numerator(metric, p) for p in planes])
+    den = np.array([denominator(metric, p) for p in planes])
+    reports = np.array([sectional_curvature(metric, p) for p in planes])
+    u_xy = np.array([u_tensor(metric, p.x, p.y).data for p in planes])
+    u_xx = np.array([u_tensor(metric, p.x, p.x).data for p in planes])
+    np.testing.assert_array_equal(_bits(den), _bits(reports[:, 1]))
+    ring = curvature._metric_ring(metric)
+    for n in (1, 7, 256):
+        xs, ys = x[:n], y[:n]
+        c, s = curvature._curvature_rows(ring, xs, ys)
+        mx, my = ring.apply(xs), ring.apply(ys)
+        np.testing.assert_array_equal(_bits(num[:n]), _bits(c))
+        np.testing.assert_array_equal(_bits(reports[:n]),
+                                      _bits(np.column_stack([c, s, c / s])))
+        np.testing.assert_array_equal(
+            _bits(u_xy[:n]), _bits(curvature._u(ring, xs, mx, ys, my)))
+        np.testing.assert_array_equal(
+            _bits(u_xx[:n]), _bits(curvature._u(ring, xs, mx, xs, mx)))
+
+
+def test_sectional_curvature_rejects_a_degenerate_plane():
+    metric = DeformedMetric(reference_deformation(), -0.01)
+    plane = TangentPlane.__new__(TangentPlane)  # past TangentPlane's checks
+    plane.x = plane.y = element(v=E1)
+    for one_plane in (sectional_curvature, denominator):
+        with pytest.raises(ValueError, match="degenerate plane"):
+            one_plane(metric, plane)
 
 
 # ---- jets of many planes at once ----
