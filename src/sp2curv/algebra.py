@@ -143,27 +143,33 @@ class SpElement:
 # ---- coordinate bracket (fast path) ----
 
 
+def _bracket_list(a, b) -> list:
+    """Bracket of two elements given as 10 coordinates each, as a list.
+
+    Unrolled on Python floats, which round as numpy's elementwise steps do.
+    """
+    la, ua1, ua2, ua3, va1, va2, va3, wa1, wa2, wa3 = a
+    lb, ub1, ub2, ub3, vb1, vb2, vb3, wb1, wb2, wb3 = b
+    return [
+        va1 * wb1 + va2 * wb2 + va3 * wb3 - vb1 * wa1 - vb2 * wa2 - vb3 * wa3,
+        # u x u' + v x v' + w x w'
+        ua2 * ub3 - ua3 * ub2 + va2 * vb3 - va3 * vb2 + wa2 * wb3 - wa3 * wb2,
+        ua3 * ub1 - ua1 * ub3 + va3 * vb1 - va1 * vb3 + wa3 * wb1 - wa1 * wb3,
+        ua1 * ub2 - ua2 * ub1 + va1 * vb2 - va2 * vb1 + wa1 * wb2 - wa2 * wb1,
+        # u x v' - u' x v - lam w' + lam' w
+        ua2 * vb3 - ua3 * vb2 - ub2 * va3 + ub3 * va2 - la * wb1 + lb * wa1,
+        ua3 * vb1 - ua1 * vb3 - ub3 * va1 + ub1 * va3 - la * wb2 + lb * wa2,
+        ua1 * vb2 - ua2 * vb1 - ub1 * va2 + ub2 * va1 - la * wb3 + lb * wa3,
+        # u x w' - u' x w + lam v' - lam' v
+        ua2 * wb3 - ua3 * wb2 - ub2 * wa3 + ub3 * wa2 + la * vb1 - lb * va1,
+        ua3 * wb1 - ua1 * wb3 - ub3 * wa1 + ub1 * wa3 + la * vb2 - lb * va2,
+        ua1 * wb2 - ua2 * wb1 - ub1 * wa2 + ub2 * wa1 + la * vb3 - lb * va3,
+    ]
+
+
 def _bracket_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bracket on raw (10,) arrays.  Unrolled for speed in jet loops."""
-    la, ua1, ua2, ua3, va1, va2, va3, wa1, wa2, wa3 = a.tolist()
-    lb, ub1, ub2, ub3, vb1, vb2, vb3, wb1, wb2, wb3 = b.tolist()
-    return np.array(
-        [
-            va1 * wb1 + va2 * wb2 + va3 * wb3 - vb1 * wa1 - vb2 * wa2 - vb3 * wa3,
-            # u x u' + v x v' + w x w'
-            ua2 * ub3 - ua3 * ub2 + va2 * vb3 - va3 * vb2 + wa2 * wb3 - wa3 * wb2,
-            ua3 * ub1 - ua1 * ub3 + va3 * vb1 - va1 * vb3 + wa3 * wb1 - wa1 * wb3,
-            ua1 * ub2 - ua2 * ub1 + va1 * vb2 - va2 * vb1 + wa1 * wb2 - wa2 * wb1,
-            # u x v' - u' x v - lam w' + lam' w
-            ua2 * vb3 - ua3 * vb2 - ub2 * va3 + ub3 * va2 - la * wb1 + lb * wa1,
-            ua3 * vb1 - ua1 * vb3 - ub3 * va1 + ub1 * va3 - la * wb2 + lb * wa2,
-            ua1 * vb2 - ua2 * vb1 - ub1 * va2 + ub2 * va1 - la * wb3 + lb * wa3,
-            # u x w' - u' x w + lam v' - lam' v
-            ua2 * wb3 - ua3 * wb2 - ub2 * wa3 + ub3 * wa2 + la * vb1 - lb * va1,
-            ua3 * wb1 - ua1 * wb3 - ub3 * wa1 + ub1 * wa3 + la * vb2 - lb * va2,
-            ua1 * wb2 - ua2 * wb1 - ub1 * wa2 + ub2 * wa1 + la * vb3 - lb * va3,
-        ]
-    )
+    """Bracket on raw (10,) arrays."""
+    return np.array(_bracket_list(a.tolist(), b.tolist()))
 
 
 class _Traced:
@@ -188,15 +194,15 @@ class _Traced:
 def _bracket_table():
     """The bracket's structure constants, read off the coordinate bracket.
 
-    Running _bracket_arr on traced coordinates records every output
+    Running _bracket_list on traced coordinates records every output
     component as six signed products a_i b_j in the order the bracket
     adds them.  Returns (6, 10) arrays i, j and sign such that
     [a, b]_k = sign[0, k] a_{i[0, k]} b_{j[0, k]} + ... + sign[5, k] ...,
-    summed from the left exactly as _bracket_arr sums.
+    summed from the left exactly as _bracket_list sums.
     """
-    a = np.array([_Traced([(1.0, i, None)]) for i in range(10)], dtype=object)
-    b = np.array([_Traced([(1.0, None, j)]) for j in range(10)], dtype=object)
-    table = np.array([out.terms for out in _bracket_arr(a, b)])  # (10, 6, 3)
+    a = [_Traced([(1.0, i, None)]) for i in range(10)]
+    b = [_Traced([(1.0, None, j)]) for j in range(10)]
+    table = np.array([out.terms for out in _bracket_list(a, b)])  # (10, 6, 3)
     sign, i, j = table.transpose(2, 1, 0)
     return i.astype(int), j.astype(int), sign
 
@@ -207,7 +213,7 @@ _BR_I, _BR_J, _BR_SIGN = _bracket_table()
 def _bracket_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bracket of (n, 10) arrays, row by row, from the structure constants.
 
-    Each row gets the bits _bracket_arr gives it, whatever n is.  The
+    Each row gets the bits _bracket_list gives it, whatever n is.  The
     products are gathered as (6, 10, n), so the sums run contiguously.
     """
     p = a.T[_BR_I]
@@ -231,6 +237,13 @@ def bi_inner(x: SpElement, y: SpElement) -> float:
 def norm(x: SpElement) -> float:
     """Norm induced by the bi-invariant inner product."""
     return float(np.sqrt(x.data @ x.data))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D array, bit for bit: the same dot of the
+    same contiguous data, without the wrapper's call cost."""
+    v = v.ravel()
+    return math.sqrt(v @ v)
 
 
 def _ad_h_arr(angle: float, a: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_rows, _cross
+from .algebra import SpElement, _ad_h_arr, _bracket_rows, _cross, _norm
 from .curvature import _rows_dot, is_commuting_pair
 from .metric import _uniform, as_generator
 
@@ -141,7 +141,7 @@ def _first_nonzero_sign(vec: np.ndarray, tol: float = 1e-8) -> float:
 
 
 def _normalize_direction(vec: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(vec))
+    n = _norm(vec)
     if n <= 1e-12:
         raise _ReductionFailed("zero direction")
     out = vec / n
@@ -169,7 +169,7 @@ def _quadratic_roots(qa: float, qb: float, qc: float) -> np.ndarray:
         raise _ReductionFailed("quadratic is not indefinite")
     r_plus = math.sqrt(evals[1]) * evecs[:, 0] + math.sqrt(-evals[0]) * evecs[:, 1]
     r_minus = math.sqrt(evals[1]) * evecs[:, 0] - math.sqrt(-evals[0]) * evecs[:, 1]
-    return np.array([r_plus / np.linalg.norm(r_plus), r_minus / np.linalg.norm(r_minus)])
+    return np.array([r_plus / _norm(r_plus), r_minus / _norm(r_minus)])
 
 
 def _aligned_direction(row: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ def _aligned_direction(row: np.ndarray) -> np.ndarray:
 
 
 def _parallel_residual(vec: np.ndarray, direction: np.ndarray) -> float:
-    return float(np.linalg.norm(vec - (vec @ direction) * direction))
+    return _norm(vec - (vec @ direction) * direction)
 
 
 def _pq_needs_flip(p: float, q: float) -> bool:
@@ -238,8 +238,8 @@ def _reduce_case1(red: _Reduction) -> tuple:
 
     r1 = float(red.vs()[0] @ m1)
     _check(r1 > 1e-10, "rotation lost the first element")
-    _check(float(np.linalg.norm(red.ws()[0])) <= _RESIDUAL_TOL, "w of first element")
-    _check(float(np.linalg.norm(red.vs()[1])) <= _RESIDUAL_TOL, "v of second element")
+    _check(_norm(red.ws()[0]) <= _RESIDUAL_TOL, "w of first element")
+    _check(_norm(red.vs()[1]) <= _RESIDUAL_TOL, "v of second element")
     q2 = float(red.ws()[1] @ m2)
     _check(abs(q2) > 1e-10, "second aligned element vanishes")
     _check(_parallel_residual(red.ws()[1], m2) <= _RESIDUAL_TOL, "second element drift")
@@ -252,11 +252,11 @@ def _reduce_case2(red: _Reduction) -> tuple:
     """u-parts have rank one: the plane recombines onto an F2 pair."""
     u_svd, svals, _ = np.linalg.svd(red.us())
     red.mix(u_svd.T)
-    _check(float(np.linalg.norm(red.us()[1])) <= _RESIDUAL_TOL, "second u-part")
-    n1 = float(np.linalg.norm(red.us()[0]))
+    _check(_norm(red.us()[1]) <= _RESIDUAL_TOL, "second u-part")
+    n1 = _norm(red.us()[0])
     _check(n1 > 1e-10, "first u-part vanishes")
     red.mix(np.diag([1.0 / n1, 1.0]))
-    u_dir = red.us()[0] / np.linalg.norm(red.us()[0])
+    u_dir = red.us()[0] / _norm(red.us()[0])
 
     # With the u-parts split off, the commuting constraints force the whole
     # second row onto the u direction.
@@ -286,14 +286,14 @@ def _reduce_case2(red: _Reduction) -> tuple:
         u_dir = -u_dir
         w_vec = -w_vec
         red.mix(-np.eye(2))
-    if float(np.linalg.norm(w_vec)) > _RANK_TOL and _first_nonzero_sign(w_vec) < 0.0:
+    if _norm(w_vec) > _RANK_TOL and _first_nonzero_sign(w_vec) < 0.0:
         w_vec = -w_vec
         red.rotate(0.5 * math.pi)
         red.mix(np.diag([1.0, -1.0]))
-    if float(np.linalg.norm(w_vec)) <= _RANK_TOL:
+    if _norm(w_vec) <= _RANK_TOL:
         w_vec = np.zeros(3)
 
-    return "F2", {"u": u_dir, "w": w_vec, "ell": float(np.linalg.norm(w_vec))}
+    return "F2", {"u": u_dir, "w": w_vec, "ell": _norm(w_vec)}
 
 
 def _null_direction_2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -305,7 +305,7 @@ def _null_direction_2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         out = np.array([-float(c1 @ c2) / n1, 1.0])
     else:
         out = np.array([1.0, -float(c1 @ c2) / n2])
-    return out / np.linalg.norm(out)
+    return out / _norm(out)
 
 
 def _reduce_case3_f3(red: _Reduction) -> tuple:
@@ -329,12 +329,12 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
     e_minus = minus @ red.rows
     c_vec = 0.5 * (e_plus[1:4] + e_plus[4:7])
     d_vec = 0.5 * (e_minus[1:4] - e_minus[4:7])
-    c_norm = float(np.linalg.norm(c_vec))
-    d_norm = float(np.linalg.norm(d_vec))
+    c_norm = _norm(c_vec)
+    d_norm = _norm(d_vec)
     _check(min(c_norm, d_norm) > 1e-8, "degenerate swap eigenvectors")
     _check(
-        float(np.linalg.norm(e_plus[1:4] - e_plus[4:7])) <= _RESIDUAL_TOL
-        and float(np.linalg.norm(e_minus[1:4] + e_minus[4:7])) <= _RESIDUAL_TOL,
+        _norm(e_plus[1:4] - e_plus[4:7]) <= _RESIDUAL_TOL
+        and _norm(e_minus[1:4] + e_minus[4:7]) <= _RESIDUAL_TOL,
         "swap eigenvectors drift",
     )
     p_dir = c_vec / c_norm
@@ -346,14 +346,14 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
         q_dir = -q_dir
         flip = np.diag([1.0, -1.0])
 
-    kappa = 2.0 / float(np.linalg.norm(p_dir + q_dir))
+    kappa = 2.0 / _norm(p_dir + q_dir)
     red.mix(np.array([plus, minus]))
     red.mix(np.diag([1.0 / c_norm, 1.0 / d_norm]))
     red.mix(flip)
     red.mix(np.array([[0.5 * kappa, 0.5 * kappa], [0.5 * kappa, -0.5 * kappa]]))
 
-    u_dir = (p_dir + q_dir) / float(np.linalg.norm(p_dir + q_dir))
-    u_perp = (p_dir - q_dir) / float(np.linalg.norm(p_dir + q_dir))
+    u_dir = (p_dir + q_dir) / _norm(p_dir + q_dir)
+    u_perp = (p_dir - q_dir) / _norm(p_dir + q_dir)
     if _first_nonzero_sign(u_dir) < 0.0:
         u_dir = -u_dir
         u_perp = -u_perp
@@ -363,7 +363,7 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
         red.rotate(0.5 * math.pi)
         red.mix(np.diag([1.0, -1.0]))
     _check(abs(float(u_dir @ u_perp)) <= _RESIDUAL_TOL, "F3 directions not orthogonal")
-    ell = float(np.linalg.norm(u_perp))
+    ell = _norm(u_perp)
     _check(1e-8 < ell <= 1.0 + 1e-9, "F3 length out of range")
 
     return "F3", {"u": u_dir, "p": u_perp, "ell": ell}
@@ -379,9 +379,9 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
     aligned = roots @ red.rows
     ratios = []
     for row in aligned:
-        nu = float(np.linalg.norm(row[1:4]))
+        nu = _norm(row[1:4])
         _check(nu > 1e-10, "aligned element with zero u-part")
-        vw = math.hypot(float(np.linalg.norm(row[4:7])), float(np.linalg.norm(row[7:10])))
+        vw = math.hypot(_norm(row[4:7]), _norm(row[7:10]))
         ratios.append(vw / nu)
     if abs(ratios[0] - ratios[1]) <= 1e-9 * (ratios[0] + ratios[1]):
         dirs = [_aligned_direction(r) for r in aligned]
@@ -401,25 +401,25 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
     q1 = float(red.ws()[0] @ m1)
     _check(math.hypot(p1, q1) > 1e-10, "first aligned element vanishes")
     red.rotate(0.5 * math.atan2(q1, p1))
-    _check(float(np.linalg.norm(red.ws()[0])) <= _RESIDUAL_TOL, "first element w")
+    _check(_norm(red.ws()[0]) <= _RESIDUAL_TOL, "first element w")
 
-    nu = float(np.linalg.norm(red.us()[0]))
+    nu = _norm(red.us()[0])
     _check(nu > 1e-10, "first element u-part")
     red.mix(np.diag([1.0 / nu, 1.0]))
-    u_dir = red.us()[0] / np.linalg.norm(red.us()[0])
+    u_dir = red.us()[0] / _norm(red.us()[0])
     p_vec = red.vs()[0].copy()
     _check(abs(float(p_vec @ u_dir)) <= _RESIDUAL_TOL, "F4 p not orthogonal")
     p_vec -= (p_vec @ u_dir) * u_dir
-    p_norm = float(np.linalg.norm(p_vec))
+    p_norm = _norm(p_vec)
     _check(p_norm > 1e-8, "F4 p vanishes")
 
     sigma = float(red.us()[1] @ p_vec) / (p_norm * p_norm)
     _check(abs(sigma) > 1e-10, "second element scale")
     red.mix(np.diag([1.0, 1.0 / sigma]))
-    _check(float(np.linalg.norm(red.us()[1] - p_vec)) <= _RESIDUAL_TOL, "row2 u")
-    _check(float(np.linalg.norm(red.vs()[1] - u_dir)) <= _RESIDUAL_TOL, "row2 v")
+    _check(_norm(red.us()[1] - p_vec) <= _RESIDUAL_TOL, "row2 u")
+    _check(_norm(red.vs()[1] - u_dir) <= _RESIDUAL_TOL, "row2 v")
     mu = float(red.ws()[1] @ u_dir)
-    _check(float(np.linalg.norm(red.ws()[1] - mu * u_dir)) <= _RESIDUAL_TOL, "row2 w")
+    _check(_norm(red.ws()[1] - mu * u_dir) <= _RESIDUAL_TOL, "row2 w")
     _check(abs(mu) > 1e-8, "mu vanishes")
 
     if _first_nonzero_sign(u_dir) < 0.0:
@@ -432,7 +432,7 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
         red.mix(np.diag([1.0, -1.0]))
 
     return "F4", {"u": u_dir, "p": p_vec, "mu": mu,
-                  "ell": float(np.linalg.norm(p_vec))}
+                  "ell": _norm(p_vec)}
 
 
 def _reduce_case3(red: _Reduction) -> tuple:
@@ -442,7 +442,7 @@ def _reduce_case3(red: _Reduction) -> tuple:
     b1, b2 = vt[0], vt[1]
     for vec in (*red.vs(), *red.ws()):
         residual = vec - (vec @ b1) * b1 - (vec @ b2) * b2
-        _check(float(np.linalg.norm(residual)) <= _RESIDUAL_TOL, "v, w leave the u-plane")
+        _check(_norm(residual) <= _RESIDUAL_TOL, "v, w leave the u-plane")
 
     def plane_coords(vec):
         return np.array([float(vec @ b1), float(vec @ b2)])
@@ -463,13 +463,13 @@ def _reduce_case3(red: _Reduction) -> tuple:
 
 def _orthonormalize_with_mix(x_arr: np.ndarray, y_arr: np.ndarray):
     """Gram-Schmidt rows plus the 2x2 mix sending the raw pair to them."""
-    n0 = float(np.linalg.norm(x_arr))
+    n0 = _norm(x_arr)
     if n0 <= 1e-12:
         raise ValueError("zero element cannot span a plane")
     a = x_arr / n0
     c = float(y_arr @ a)
     b_pre = y_arr - c * a
-    n1 = float(np.linalg.norm(b_pre))
+    n1 = _norm(b_pre)
     if n1 <= 1e-12:
         raise ValueError("elements are linearly dependent")
     seed = np.array([[1.0 / n0, 0.0], [-c / (n0 * n1), 1.0 / n1]])
@@ -540,13 +540,15 @@ _ORBIT_GRID = np.linspace(0.0, math.pi, 65)[:-1]
 # its row's screened minimum.  The screen errs by about 1e-7 at worst
 # (2.6e-8 seen), so the candidate a full 65-SVD scan picks is kept.
 _ORBIT_SCREEN_MARGIN = 1e-6
+# The columns a rotation leaves alone, or turns within themselves.
+_STILL = np.array([0, 1, 2, 3, 6, 9])
 
 
 def _orbit_screen(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray):
     """Distances of (n, 2, 10) orthonormal rows turned by the (n, k) angles
     of cos 2s, sin 2s, from the residual's 2x2 Gram (the squared sines).
     Only columns 5 and 7 move it: 6 and 9 turn (v3, w3), keeping theirs."""
-    still = rows[:, :, [0, 1, 2, 3, 6, 9]]
+    still = rows[:, :, _STILL]
     base = still @ still.transpose(0, 2, 1)
     v, w = rows[:, None, :, 4:7], rows[:, None, :, 7:10]
     c5 = cos[..., None] * v[..., 1] + sin[..., None] * w[..., 1]
@@ -554,8 +556,14 @@ def _orbit_screen(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray):
     g00, g01, g11 = (base[:, None, i, j] + c5[..., i] * c5[..., j]
                      + c7[..., i] * c7[..., j] for i, j in ((0, 0), (0, 1), (1, 1)))
     mean, half = (g00 + g11) / 2, np.hypot((g00 - g11) / 2, g01)
-    return np.hypot(*(np.arcsin(np.sqrt(np.clip(e, 0.0, 1.0)))
+    return np.hypot(*(np.arcsin(np.sqrt(_clip01(e)))
                       for e in (mean - half, mean + half)))
+
+
+def _clip01(a: np.ndarray) -> np.ndarray:
+    """np.clip(a, 0.0, 1.0), up to the sign of a zero, which the squares
+    and hypot that follow drop."""
+    return np.minimum(np.maximum(a, 0.0), 1.0)
 
 
 def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -565,22 +573,27 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     eigh and the batched SVD treat each small matrix of the stack on its
     own, so no value depends on the number of rows or on the chunk.
     """
+    # Ufuncs, methods and preallocated arrays, not numpy's Python-level
+    # wrappers (np.stack, np.sum, ...), which cost more than one row's work.
     norm_x = np.sqrt(_rows_dot(x, x))
-    if np.any(norm_x <= 1e-12):
+    if (norm_x <= 1e-12).any():
         raise ValueError("zero element cannot span a plane")
-    a = x / norm_x[:, None]
+    rows = np.empty((len(x), 2, 10))
+    a = np.divide(x, norm_x[:, None], out=rows[:, 0])
     b = y - _rows_dot(y, a)[:, None] * a
     norm_b = np.sqrt(_rows_dot(b, b))
-    if np.any(norm_b <= 1e-12):
+    if (norm_b <= 1e-12).any():
         raise ValueError("elements are linearly dependent")
-    rows = np.stack([a, b / norm_b[:, None]], axis=1)
+    np.divide(b, norm_b[:, None], out=rows[:, 1])
     v = rows[:, :, 4:7]
     w = rows[:, :, 7:10]
     # M(s) = cos(2s) A + sin(2s) B, entries indexed by (t0 row, plane row);
     # pair[r] holds A and B of plane r, flattened.
-    pair = np.stack([v[..., 0], w[..., 1], w[..., 0], -v[..., 1]],
-                    axis=1).reshape(-1, 2, 4)
-    form = np.sum(pair[:, :, None] * pair[:, None], axis=-1)
+    pair = np.empty((len(x), 4, 2))
+    pair[:, 0], pair[:, 1], pair[:, 2] = v[..., 0], w[..., 1], w[..., 0]
+    np.negative(v[..., 1], out=pair[:, 3])
+    pair = pair.reshape(-1, 2, 4)
+    form = np.add.reduce(pair[:, :, None] * pair[:, None], axis=-1)
     top = np.linalg.eigh(form)[1][:, :, 1]
     exact = np.array([0.5 * math.atan2(s, c) % math.pi for c, s in top.tolist()])
 
@@ -588,13 +601,14 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     for lo in range(0, len(x), _ORBIT_CHUNK):
         chunk = slice(lo, lo + _ORBIT_CHUNK)
         n = len(exact[chunk])
-        candidates = np.append(np.broadcast_to(_ORBIT_GRID, (n, 64)),
-                               exact[chunk, None], axis=1)
+        candidates = np.empty((n, 65))
+        candidates[:, :64] = _ORBIT_GRID
+        candidates[:, 64] = exact[chunk]
         cos, sin = np.cos(2.0 * candidates), np.sin(2.0 * candidates)
         screened = _orbit_screen(rows[chunk], cos, sin)
-        floor = np.min(screened, axis=1, keepdims=True)
-        r, c = np.nonzero((screened <= floor + _ORBIT_SCREEN_MARGIN)
-                          | np.isnan(floor))
+        floor = screened.min(axis=1, keepdims=True)
+        r, c = ((screened <= floor + _ORBIT_SCREEN_MARGIN)
+                | np.isnan(floor)).nonzero()
         cos, sin = cos[r, c, None, None], sin[r, c, None, None]
         # The residual against t0 is the rotated plane with its t0 slots
         # (columns 4 and 8) zeroed.  Its singular values are the sines of
@@ -604,9 +618,10 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
         residual[..., 7:10] = -sin * v[chunk][r] + cos * w[chunk][r]
         residual[..., 4:9:4] = 0.0
         sines = np.linalg.svd(residual, compute_uv=False)
-        dists = np.full((n, 65), np.inf)
-        dists[r, c] = np.sqrt(np.sum(np.arcsin(np.clip(sines, 0.0, 1.0))**2, -1))
-        best = (np.arange(n), np.argmin(dists, axis=1))
+        dists = np.empty((n, 65))
+        dists.fill(np.inf)
+        dists[r, c] = np.sqrt(np.add.reduce(np.arcsin(_clip01(sines))**2, -1))
+        best = (np.arange(n), dists.argmin(axis=1))
         distances[chunk] = dists[best]
         angles[chunk] = candidates[best]
     return distances, angles
@@ -659,7 +674,7 @@ def _random_unit(rng: np.random.Generator, to=None) -> np.ndarray:
         vec = rng.normal(size=3)
         if to is not None:
             vec -= (vec @ to) * to
-        n = math.sqrt(vec @ vec)  # np.linalg.norm(vec), bit for bit
+        n = _norm(vec)
         if n > 1e-3:
             return vec / n
 

@@ -9,7 +9,9 @@ Exit codes: 0 on success, 1 on a verification failure (the payload
 then carries a witness with enough data to replay it through
 ``classify``), 2 on usage or configuration errors, including a
 ``classify`` input that does not commute and an ``--out`` path that
-cannot be written (a missing directory is created).
+cannot be written (a missing directory is created).  A ``classify``
+plane whose canonical reduction fails still gets its jet verdict; its
+report then holds ``null`` canonical fields and the reason.
 
 JSON payloads are versioned via ``schema_version`` and deterministic
 for a fixed seed and configuration, except for the ``timing_seconds``
@@ -47,21 +49,11 @@ SCHEMA_VERSION = 1
 _USAGE_ERROR = 2
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars and arrays to JSON-safe types."""
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+def _json_value(obj):
+    """json.dumps' hook for numpy arrays and scalars (np.float64 is a float)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _stats(values):
@@ -266,38 +258,48 @@ def _run_wilking(cfg):
     return results, summary, (header, rows), report.passed
 
 
+# classify's deformation, built once per process; its arrays are read-only.
+_reference_deformation = functools.cache(reference_deformation)
+
+
 def _run_classify(cfg):
     x, y = cfg.x, cfg.y
     plane = TangentPlane(x, y)
-    classification = canonicalize(x, y)
-    deformation = reference_deformation()
+    try:
+        c = canonicalize(x, y)
+        results = {"family": c.family, "parameters": c.parameters,
+                   "canonical_x": c.canonical_x.data,
+                   "canonical_y": c.canonical_y.data,
+                   "witness_angle": c.witness_angle,
+                   "witness_matrix": c.witness_matrix}
+    except CanonicalizationError as exc:
+        # Near the orbit the reduction can fail; the jet verdict stands.
+        results = dict.fromkeys(("family", "parameters", "canonical_x",
+                                 "canonical_y", "witness_angle",
+                                 "witness_matrix"))
+        results["canonicalization_error"] = str(exc)
+    deformation = _reference_deformation()
     label, special, distance, c2, c3 = classify_plane(
         plane, deformation=deformation,
         orbit_tol=cfg.tol if cfg.tol is not None else 1e-8)
     ortho = plane.orthonormalized()
     jet = numerator_jet(deformation, ortho)
-    results = {
-        "family": classification.family,
-        "parameters": _plain(classification.parameters),
-        "canonical_x": _plain(classification.canonical_x.data),
-        "canonical_y": _plain(classification.canonical_y.data),
-        "witness_angle": classification.witness_angle,
-        "witness_matrix": _plain(classification.witness_matrix),
+    results.update({
         "special_orbit": special,
         "orbit_distance": distance,
         "jet": [float(jet[k]) for k in range(5)],
         "c2": c2,
         "c3": c3,
         "classification": label,
-    }
+    })
     summary = {
-        "family": classification.family,
+        "family": results["family"],
         "classification": label,
         "special_orbit": special,
     }
     header = ["family", "classification", "special_orbit", "orbit_distance",
               "c2", "c3"]
-    rows = [[classification.family, label, special, distance, c2, c3]]
+    rows = [[results["family"], label, special, distance, c2, c3]]
     return results, summary, (header, rows), label != "VIOLATION"
 
 
@@ -307,7 +309,8 @@ def _run_classify(cfg):
 
 
 def _render_json(payload) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=_json_value) + "\n"
 
 
 def _render_csv(header, rows) -> str:
@@ -349,7 +352,9 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        directory = os.path.dirname(out)
+        if directory and not os.path.isdir(directory):
+            os.makedirs(directory, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -484,7 +489,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, summary, (header, rows), passed = _SUBCOMMANDS[args.command][2](args)
-    except (ValueError, CanonicalizationError) as exc:
+    except ValueError as exc:
         parser.exit(_USAGE_ERROR, f"sp2curv: error: {exc}\n")
     elapsed = time.perf_counter() - start
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_rows
+from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_list, _bracket_rows
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -351,7 +351,7 @@ def sectional_curvature(m: DeformedMetric, plane: TangentPlane) -> CurvatureRepo
 # ---- jets of C at t = 0 ----
 
 
-def _cauchy(p, q, mul) -> list:
+def _cauchy(p, q, mul, add=operator.add) -> list:
     """Coefficients of the product of two jets, truncated after t^4.
 
     Coefficient k is mul(p[i], q[k - i]) summed from the lowest i up.
@@ -361,14 +361,8 @@ def _cauchy(p, q, mul) -> list:
         lo, hi = max(0, k - len(q) + 1), min(k, len(p) - 1)
         acc = mul(p[lo], q[k - lo])
         for i in range(lo + 1, hi + 1):
-            acc = acc + mul(p[i], q[k - i])
+            acc = add(acc, mul(p[i], q[k - i]))
         out.append(acc)
-    return out
-
-
-def _pad_rows(coefficients: list) -> np.ndarray:
-    out = np.zeros((_JET_ORDER + 1,) + coefficients[0].shape)
-    out[: len(coefficients)] = coefficients
     return out
 
 
@@ -377,47 +371,45 @@ class _JetRing:
 
     Products are Cauchy products truncated after t^4.  M_t = I + tL
     shifts L p up one power, and M_t^{-1} is its Neumann series.  The
-    loops are written over the leading (power) axis only; ``_br``,
-    ``_dot`` and ``_act`` (a 9x9 coefficient matrix acting on the m part
-    of one coefficient) are the primitives.  Inner products are (5,)
-    coefficient arrays.
+    loops are written over the leading (power) axis only.  Inner products
+    are (5,) coefficient arrays.  One plane's jets are too small for
+    numpy's per-call cost, so brackets and Cauchy sums run on Python
+    floats, and the dots of one inner product, like the 9x9 actions of
+    one apply or solve, are one stacked matmul, with the same bits.
     """
 
     __slots__ = ("lam9", "neumann")
-    _br = staticmethod(_bracket_arr)
-    _dot = staticmethod(operator.matmul)
-
-    @staticmethod
-    def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return mat @ a[1:]
 
     def __init__(self, d: MetricDeformation):
         self.lam9 = d.matrix9
         # (-L)^i for i = 0..4, the Neumann coefficients of M_t^{-1}.
-        self.neumann = [np.eye(9)]
+        neumann = [np.eye(9)]
         for _ in range(_JET_ORDER):
-            self.neumann.append(-self.lam9 @ self.neumann[-1])
+            neumann.append(-self.lam9 @ neumann[-1])
+        self.neumann = np.array(neumann)
 
     def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return np.array(_cauchy(p, q, self._br))
+        return np.array(_cauchy(p.tolist(), q.tolist(), _bracket_list,
+                                lambda a, b: [s + t for s, t in zip(a, b)]))
 
     def inner(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _pad_rows(_cauchy(p, q, self._dot))
+        dots = _rows_dot(p[:, None], q[None]).tolist()
+        out = _cauchy(range(len(p)), range(len(q)), lambda i, j: dots[i][j])
+        return np.array(out + [0.0] * (_JET_ORDER + 1 - len(out)))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         out = np.zeros((min(len(p) + 1, _JET_ORDER + 1),) + p.shape[1:])
         out[: len(p)] = p[: len(out)]
-        for k, a in enumerate(p[: len(out) - 1], 1):
-            out[k, ..., 1:] += self._act(self.lam9, a)
+        out[1:, ..., 1:] += _rows_matvec(self.lam9, p[: len(out) - 1, ..., 1:])
         return out
 
     def solve(self, p: np.ndarray) -> np.ndarray:
         """The h slot passes through; (M_t^{-1} p)_k = sum_j (-L)^(k-j) p_j."""
         out = np.zeros((_JET_ORDER + 1,) + p.shape[1:])
         out[: len(p), ..., 0] += p[..., 0]
-        for j, a in enumerate(p):
-            for i, n in enumerate(self.neumann[: _JET_ORDER + 1 - j]):
-                out[i + j, ..., 1:] += self._act(n, a)
+        acts = _rows_matvec(self.neumann[:, None], p[None, ..., 1:])
+        for j in range(len(p)):
+            out[j:, ..., 1:] += acts[: _JET_ORDER + 1 - j, j]
         return out
 
 
@@ -433,16 +425,29 @@ class _JetRowsRing(_JetRing):
     """
 
     __slots__ = ()
-    _br = staticmethod(_bracket_rows)
-    _dot = staticmethod(_rows_dot)
-
-    @staticmethod
-    def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return _rows_matvec(mat, a[:, 1:])
 
     def __init__(self, lam9: np.ndarray, neumann: np.ndarray):
         self.lam9 = lam9
         self.neumann = neumann
+
+    def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.array(_cauchy(p, q, _bracket_rows))
+
+    def inner(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        coefficients = _cauchy(p, q, _rows_dot)
+        out = np.zeros((_JET_ORDER + 1,) + coefficients[0].shape)
+        out[: len(coefficients)] = coefficients
+        return out
+
+    def solve(self, p: np.ndarray) -> np.ndarray:
+        """As _JetRing.solve, one (n, 9) action at a time: all of them at
+        once would hold (5, k, n, 9) values and raise the memory peak."""
+        out = np.zeros((_JET_ORDER + 1,) + p.shape[1:])
+        out[: len(p), ..., 0] += p[..., 0]
+        for j, a in enumerate(p):
+            for i, n in enumerate(self.neumann[: _JET_ORDER + 1 - j]):
+                out[i + j, ..., 1:] += _rows_matvec(n, a[..., 1:])
+        return out
 
 
 def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,

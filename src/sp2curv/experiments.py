@@ -21,7 +21,6 @@ so results are independent of iteration order and process count.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from typing import NamedTuple
@@ -35,6 +34,7 @@ from .algebra import (
     _ad_h_arr,
     _bracket_rows,
     _cross,
+    _norm,
     bi_inner,
     bracket,
     bi_inner_trace_form,
@@ -224,10 +224,6 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # commuting plane sampler
 # ---------------------------------------------------------------------------
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

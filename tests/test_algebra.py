@@ -19,6 +19,7 @@ from sp2curv import (
 from sp2curv.algebra import (
     _bracket_arr,
     _bracket_rows,
+    _norm,
     from_matrix,
     to_matrix,
 )
@@ -253,3 +254,20 @@ def test_batched_bracket_returns_c_contiguous_rows():
     a, b = rng.uniform(-1.0, 1.0, (2, 40, 10))
     out = _bracket_rows(a[::2], b[1::2])
     assert out.shape == (20, 10) and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("size", [2, 3, 6, 9, 10])
+def test_norm_helper_keeps_the_bits_of_np_linalg_norm(size):
+    # cartan passes fresh vectors and slices of (2, 10) rows; a strided
+    # view sums in another order unless it is made contiguous first.
+    rng = np.random.default_rng(size)
+    bad = []
+    for _ in range(500):
+        block = rng.normal(size=(2, 3 * size)) * 10.0 ** rng.integers(-6, 6)
+        for v in (block[0, :size].copy(), block[1, size:2 * size],
+                  block[0, ::3], block[:, 1][: min(size, 2)]):
+            got, want = _norm(v), float(np.linalg.norm(v))
+            if np.float64(got).view(np.uint64) != np.float64(want).view(np.uint64):
+                bad.append((v.tolist(), got, want))
+    assert bad == []
+

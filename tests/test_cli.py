@@ -18,6 +18,7 @@ from sp2curv import (
     sectional_curvature,
 )
 from sp2curv import cli
+from sp2curv.algebra import _ad_h_arr, _bracket_arr
 from sp2curv.cli import build_parser, main
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
@@ -373,3 +374,110 @@ def test_theorem1_argmin_plane_replays_through_classify(capsys):
     metric = DeformedMetric(reference_deformation(), scan["t"])
     k = sectional_curvature(metric, TangentPlane(x, y)).k_value
     assert k == pytest.approx(scan["min_k"], rel=0.0, abs=1e-14)
+
+
+# ---- classify near the orbit ----
+
+
+def _near_orbit_plane(rng, delta):
+    """The t0 rows plus delta * noise, projected onto [x, y] = 0.
+
+    Each Gauss-Newton step is the min-norm least-squares step on the
+    10x18 Jacobian of the bracket in the m coordinates of x and y, then
+    the pair is orthonormalized again (which keeps [x, y] = 0).
+    """
+    def ad(a):
+        return np.array([_bracket_arr(a, e) for e in np.eye(10)]).T
+
+    x, y = np.eye(10)[[4, 8]] + delta * rng.normal(size=(2, 10))  # T0_X, T0_Y
+    x[0] = y[0] = 0.0
+    for _ in range(10):
+        jac = np.hstack([-ad(y)[:, 1:], ad(x)[:, 1:]])
+        step = np.linalg.lstsq(jac, -_bracket_arr(x, y), rcond=None)[0]
+        x[1:] += step[:9]
+        y[1:] += step[9:]
+        x /= np.linalg.norm(x)
+        y -= (y @ x) * x
+        y /= np.linalg.norm(y)
+    return x, y
+
+
+def test_classify_reports_the_jet_verdict_where_canonicalize_fails(capsys):
+    # canonicalize fails on 10 of these 24 planes, none of them above 1e-4.
+    failed = 0
+    for k, delta in enumerate([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]):
+        rng = np.random.default_rng([5, k])
+        for _ in range(4):
+            x, y = _near_orbit_plane(rng, delta)
+            argv = ["classify", cli._classify_arg(x), cli._classify_arg(y)]
+            code, payload = run_json(capsys, argv)
+            results = payload["results"]
+            assert code == (1 if results["classification"] == "VIOLATION"
+                            else 0)
+            assert len(results["jet"]) == 5
+            if results["family"] is None:
+                failed += 1
+                assert results["canonicalization_error"]
+                assert all(results[key] is None for key in (
+                    "parameters", "canonical_x", "canonical_y",
+                    "witness_angle", "witness_matrix"))
+                continue
+            rows = _ad_h_arr(results["witness_angle"], np.array(
+                results["witness_matrix"]) @ np.array(
+                    [results["canonical_x"], results["canonical_y"]]))
+            scale = max(1.0, np.abs([x, y]).max())
+            assert np.abs(rows - [x, y]).max() <= 1e-8 * scale
+    assert failed >= 5
+
+
+# ---- the JSON render ----
+
+
+def _plain_copy(obj):
+    """The recursive walk the JSON render ran before it took a default hook."""
+    if isinstance(obj, np.ndarray):
+        return [_plain_copy(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {str(k): _plain_copy(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_copy(v) for v in obj]
+    return obj
+
+
+def _payloads(monkeypatch, capsys, argv):
+    seen = []
+    render = cli._render_json
+    monkeypatch.setattr(cli, "_render_json",
+                        lambda payload: seen.append(payload) or render(payload))
+    run_cli(capsys, argv)
+    monkeypatch.undo()
+    return seen
+
+
+def test_render_json_writes_the_bytes_of_the_plain_walk(monkeypatch, capsys):
+    x, y = _near_orbit_plane(np.random.default_rng([5, 5]), 1e-6)
+    payloads = [p for argv in (
+        ["oracle", "--samples", "50"],
+        ["lemma1", "--samples", "30", "--family", "F4"],  # null stats
+        ["theorem1", "--samples", "20", "--seed", "3"],
+        ["wilking", "--samples", "20"],
+        ["classify", T0_X, T0_Y],
+        ["classify", cli._classify_arg(x), cli._classify_arg(y)],
+    ) for p in _payloads(monkeypatch, capsys, argv)]
+    assert len(payloads) == 6
+    assert payloads[1]["summary"]["special_abs_c2"] is None
+    assert any(np.isnan(f["min_k"]) for f in payloads[2]["results"]["frontier"])
+    assert payloads[5]["results"]["family"] is None
+    # The runners convert numpy scalars today; the render must not need it.
+    payloads.append({"passed": np.bool_(False), "samples": np.int64(3),
+                     "k": np.float64(-0.5), "half": (np.float32(0.5), None),
+                     "rows": np.eye(2), "empty": np.zeros(0)})
+    for payload in payloads:
+        expected = json.dumps(_plain_copy(payload), sort_keys=True, indent=2)
+        assert cli._render_json(payload) == expected + "\n"

@@ -18,8 +18,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from sp2curv import algebra, cli, curvature, experiments, metric
-
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,9 +46,16 @@ def bench():
 
 
 def _traced_pass(bench, workload, tmp_path):
-    """(spans, [(op kind, first span, end span)]) of one checked pass."""
-    api = SimpleNamespace(cli=cli, experiments=experiments, algebra=algebra,
-                          curvature=curvature, metric=metric)
+    """(spans, [(op kind, first span, end span)]) of one checked pass.
+
+    The pass drives the sp2curv modules that sys.modules holds now, which
+    are the ones the tracer patches: perfbench's set-up imports sp2curv
+    afresh, so in a session that ran it before, the modules imported when
+    this file was collected are no longer those.
+    """
+    api = SimpleNamespace(**{
+        name: importlib.import_module(f"sp2curv.{name}")
+        for name in ("cli", "experiments", "algebra", "curvature", "metric")})
     ops = bench.workloads.WORKLOADS[workload](api, 0, str(tmp_path / workload))
     results, ends = [], []
     with bench.spans.Tracer() as tracer:
