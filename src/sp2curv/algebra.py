@@ -234,16 +234,16 @@ def bi_inner(x: SpElement, y: SpElement) -> float:
     return float(x.data @ y.data)
 
 
-def norm(x: SpElement) -> float:
-    """Norm induced by the bi-invariant inner product."""
-    return float(np.sqrt(x.data @ x.data))
-
-
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a 1-D array, bit for bit: the same dot of the
     same contiguous data, without the wrapper's call cost."""
     v = v.ravel()
     return math.sqrt(v @ v)
+
+
+def norm(x: SpElement) -> float:
+    """Norm induced by the bi-invariant inner product."""
+    return _norm(x.data)
 
 
 def _ad_h_arr(angle: float, a: np.ndarray) -> np.ndarray:

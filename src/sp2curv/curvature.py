@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_list, _bracket_rows
+from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_list, _bracket_rows, _norm
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -484,8 +484,8 @@ def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:
 def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL_TOL) -> bool:
     """True when |[x, y]| <= rel_tol * |x| * |y|."""
     br = _bracket_arr(x.data, y.data)
-    scale = float(np.sqrt((x.data @ x.data) * (y.data @ y.data)))
-    return float(np.sqrt(br @ br)) <= rel_tol * scale
+    scale = math.sqrt((x.data @ x.data) * (y.data @ y.data))
+    return _norm(br) <= rel_tol * scale
 
 
 def second_derivative_closed_form(d: MetricDeformation, plane: TangentPlane) -> float:
