@@ -30,8 +30,6 @@ from .algebra import (
     bracket,
     bracket_oracle,
     norm,
-    project_h,
-    project_m,
 )
 from .metric import (
     DeformedMetric,
@@ -42,7 +40,6 @@ from .metric import (
 )
 from .curvature import (
     CurvatureReport,
-    Jet,
     TangentPlane,
     is_commuting_pair,
     numerator,
@@ -56,7 +53,6 @@ from .cartan import (
     CartanClassification,
     canonicalize,
     centralizer_in_m,
-    in_special_orbit,
     sample_cartan,
     special_orbit_distance,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "CartanClassification",
     "CurvatureReport",
     "DeformedMetric",
-    "Jet",
     "MetricDeformation",
     "SpElement",
     "TangentPlane",
@@ -98,14 +93,11 @@ __all__ = [
     "canonicalize",
     "centralizer_in_m",
     "classify_plane",
-    "in_special_orbit",
     "is_commuting_pair",
     "measure_sigma",
     "norm",
     "numerator",
     "numerator_jet",
-    "project_h",
-    "project_m",
     "random_admissible_metric",
     "random_deformation",
     "reference_deformation",

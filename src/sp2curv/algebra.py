@@ -51,8 +51,6 @@ __all__ = [
     "bi_inner_trace_form",
     "norm",
     "ad_h",
-    "project_m",
-    "project_h",
     "to_matrix",
     "from_matrix",
 ]
@@ -92,10 +90,6 @@ class SpElement:
         out.data = copy
         return out
 
-    @classmethod
-    def zero(cls) -> "SpElement":
-        return cls.from_array(np.zeros(10))
-
     @property
     def lam(self) -> float:
         return float(self.data[0])
@@ -119,19 +113,10 @@ class SpElement:
             return True
         return lam <= tol * max(1.0, float(np.abs(self.data).max()))
 
-    def __add__(self, other: "SpElement") -> "SpElement":
-        return SpElement.from_array(self.data + other.data)
-
+    # Kept only for perfbench's known_recheck_defect, which goes with the
+    # Wilking unit-scale defect (ROADMAP item 2).
     def __sub__(self, other: "SpElement") -> "SpElement":
         return SpElement.from_array(self.data - other.data)
-
-    def __neg__(self) -> "SpElement":
-        return SpElement.from_array(-self.data)
-
-    def __mul__(self, scalar: float) -> "SpElement":
-        return SpElement.from_array(self.data * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return (
@@ -273,20 +258,6 @@ def ad_h(angle: float, x: SpElement) -> SpElement:
     return SpElement.from_array(_ad_h_arr(angle, x.data))
 
 
-def project_m(x: SpElement) -> SpElement:
-    """Orthogonal projection onto m (zero the lam component)."""
-    arr = x.data.copy()
-    arr[0] = 0.0
-    return SpElement.from_array(arr)
-
-
-def project_h(x: SpElement) -> SpElement:
-    """Orthogonal projection onto h (keep only the lam component)."""
-    arr = np.zeros(10)
-    arr[0] = x.data[0]
-    return SpElement.from_array(arr)
-
-
 # ---- quaternionic matrix oracle (independent slow path) ----
 
 
@@ -307,9 +278,6 @@ class Quaternion(NamedTuple):
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         w1, x1, y1, z1 = self

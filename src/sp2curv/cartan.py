@@ -35,7 +35,6 @@ __all__ = [
     "CanonicalizationError",
     "CartanClassification",
     "canonicalize",
-    "in_special_orbit",
     "special_orbit_distance",
     "PlaneSample",
     "sample_cartan",
@@ -462,7 +461,8 @@ def _reduce_case3(red: _Reduction) -> tuple:
 
 
 def _orthonormalize_with_mix(x_arr: np.ndarray, y_arr: np.ndarray):
-    """Gram-Schmidt rows plus the 2x2 mix sending the raw pair to them."""
+    """The raw rows [x, y] and the 2x2 Gram-Schmidt mix: the mix applied
+    to the raw rows gives their orthonormal Gram-Schmidt rows."""
     n0 = _norm(x_arr)
     if n0 <= 1e-12:
         raise ValueError("zero element cannot span a plane")
@@ -646,12 +646,6 @@ def special_orbit_distance(x: SpElement, y: SpElement) -> tuple:
     """
     distances, angles = _orbit_distance_rows(x.data[None], y.data[None])
     return float(distances[0]), float(angles[0])
-
-
-def in_special_orbit(x: SpElement, y: SpElement, tol: float = SPECIAL_ORBIT_TOL) -> bool:
-    """True when span(x, y) lies on the rotation orbit of the t0 plane."""
-    distance, _ = special_orbit_distance(x, y)
-    return distance <= tol
 
 
 # ---- sampling ----

@@ -111,9 +111,14 @@ def _witness(seed, index, x, y):
 # ---------------------------------------------------------------------------
 
 
+def _tol(cfg, keyword: str) -> dict:
+    """The suite's ``keyword`` set to --tol, or nothing without --tol, so
+    each default tolerance lives only with its suite."""
+    return {} if cfg.tol is None else {keyword: cfg.tol}
+
+
 def _run_oracle(cfg):
-    report = run_oracle_suite(cfg.seed, cfg.samples,
-                              tol=cfg.tol if cfg.tol is not None else 1e-12)
+    report = run_oracle_suite(cfg.seed, cfg.samples, **_tol(cfg, "tol"))
     results = {
         "samples": report.samples,
         "max_bracket_error": report.max_bracket_error,
@@ -131,8 +136,7 @@ def _run_oracle(cfg):
 def _run_lemma1(cfg):
     report = verify_lemma1(
         cfg.seed, cfg.samples, family=cfg.family,
-        adversarial_only=cfg.adversarial,
-        c2_tol=cfg.tol if cfg.tol is not None else 1e-10)
+        adversarial_only=cfg.adversarial, **_tol(cfg, "c2_tol"))
     generic_c2 = [v.c2 for v in report.verdicts
                   if v.classification == "GENERIC_POSITIVE"]
     special_c2 = [abs(v.c2) for v in report.verdicts if v.special_orbit]
@@ -179,7 +183,7 @@ def _run_lemma1(cfg):
 
 def _run_theorem1(cfg):
     report = verify_theorem1(cfg.seed, cfg.samples, cfg.t_values,
-                             pos_tol=cfg.tol if cfg.tol is not None else 0.0)
+                             **_tol(cfg, "pos_tol"))
     results = {
         "samples": report.samples,
         "sigma": report.sigma,
@@ -225,8 +229,7 @@ def _run_theorem1(cfg):
 
 
 def _run_wilking(cfg):
-    report = verify_wilking(cfg.seed, cfg.samples,
-                            tol=cfg.tol if cfg.tol is not None else 1e-10)
+    report = verify_wilking(cfg.seed, cfg.samples, **_tol(cfg, "tol"))
     k_values = [c.k_value for c in report.certificates]
     results = {
         "metrics": report.metrics,
@@ -280,8 +283,7 @@ def _run_classify(cfg):
         results["canonicalization_error"] = str(exc)
     deformation = _reference_deformation()
     label, special, distance, c2, c3 = classify_plane(
-        plane, deformation=deformation,
-        orbit_tol=cfg.tol if cfg.tol is not None else 1e-8)
+        plane, deformation=deformation, **_tol(cfg, "orbit_tol"))
     ortho = plane.orthonormalized()
     jet = numerator_jet(deformation, ortho)
     results.update({
@@ -427,39 +429,26 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(*, only: str | None = None) -> argparse.ArgumentParser:
-    """A new sp2curv parser.
-
-    With ``only``, the parser has that one subcommand, but its usage line
-    still names them all.  It reads a command line that names ``only``
-    exactly as the full parser does, and builds in about a third of the
-    time.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new sp2curv parser."""
     parser = argparse.ArgumentParser(
         prog="sp2curv",
         description="Curvature verification suites for the deformed "
                     "homogeneous metrics on Sp(2)/U(1).")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    # The metavar is what the full parser shows for its choices.
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None)
-    for name in [only] if only else _SUBCOMMANDS:
-        help_, add_arguments, _ = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_arguments, _) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
-# parse_args leaves a parser as it was, so each is built once per process.
+# parse_args leaves a parser as it was, so it is built once per process.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level has no option that takes a value, so a leading
-    # subcommand name is the subcommand this command line runs.
-    parser = _parser(only=argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+    parser = _parser()
     args = parser.parse_args(argv)
 
     config = {"command": args.command, "tol": args.tol, "format": args.fmt}

@@ -39,12 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_arr, _bracket_list, _bracket_rows, _norm
+from .algebra import SpElement, _bracket_arr, _bracket_list, _bracket_rows, _norm
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
     "TangentPlane",
-    "Jet",
     "CurvatureReport",
     "u_tensor",
     "numerator",
@@ -84,19 +83,12 @@ class TangentPlane:
         self.x = x
         self.y = y
 
-    def rows(self) -> np.ndarray:
-        return np.array([self.x.data, self.y.data])
-
     def orthonormalized(self) -> "TangentPlane":
         """Gram-Schmidt in the bi-invariant product, x direction first."""
         a = self.x.data / math.sqrt(self.x.data @ self.x.data)
         b = self.y.data - (self.y.data @ a) * a
         b = b / math.sqrt(b @ b)
         return TangentPlane(SpElement.from_array(a), SpElement.from_array(b))
-
-    def rotated(self, angle: float) -> "TangentPlane":
-        x, y = _ad_h_arr(angle, self.rows())
-        return TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
 
     def __repr__(self) -> str:
         return f"TangentPlane(x={self.x!r}, y={self.y!r})"
@@ -141,29 +133,6 @@ class CurvatureReport(NamedTuple):
     c_value: float
     s_value: float
     k_value: float
-
-
-class Jet:
-    """Degree-4 truncated power series in the deformation parameter."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coefficients):
-        c = np.zeros(_JET_ORDER + 1)
-        coefficients = np.asarray(coefficients, dtype=float)
-        c[: coefficients.shape[0]] = coefficients[: _JET_ORDER + 1]
-        c.setflags(write=False)
-        self.c = c
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.c[k])
-
-    def derivative(self, k: int) -> float:
-        """k-th derivative at 0, i.e. k! times the k-th coefficient."""
-        return math.factorial(k) * float(self.c[k])
-
-    def __repr__(self) -> str:
-        return f"Jet({self.c.tolist()!r})"
 
 
 # ---- the six-term formula, written once ----
@@ -472,13 +441,15 @@ def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
     return out
 
 
-def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> Jet:
+def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> np.ndarray:
     """Degree-4 jet of C(X, Y, t) at t = 0 for the deformation d.
 
-    Coefficients c0..c4 are exact up to rounding; the k-th derivative of C
-    at 0 is k! * c_k.
+    Returns the read-only (5,) coefficients c0..c4, exact up to rounding;
+    the k-th derivative of C at 0 is k! * c_k.
     """
-    return Jet(_six_terms(_JetRing(d), plane.x.data[None], plane.y.data[None]))
+    jet = _six_terms(_JetRing(d), plane.x.data[None], plane.y.data[None])
+    jet.setflags(write=False)
+    return jet
 
 
 def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL_TOL) -> bool:

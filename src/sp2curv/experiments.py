@@ -36,8 +36,6 @@ from .algebra import (
     _bracket_rows,
     _cross,
     _norm,
-    bi_inner,
-    bi_inner_trace_form,
     from_matrix,
     to_matrix,
 )
@@ -183,12 +181,9 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
 
     # The proportionality constant, factor by factor: unit vectors in
     # each of the lambda, u, v, w slots must give the same ratio.
-    ratios = []
-    for k in range(10):
-        e = np.zeros(10)
-        e[k] = 1.0
-        x = SpElement.from_array(e)
-        ratios.append(bi_inner(x, x) / bi_inner_trace_form(x, x))
+    eye = np.eye(10)
+    mat = to_matrix(eye)
+    ratios = (_rows_dot(eye, eye) / (mat @ mat).minus_re_trace()).tolist()
 
     # One generator, and the matrix model on columns of _ORACLE_CHUNK
     # pairs: the suite has to clear its 1 s budget at 1e4 samples, which
@@ -822,7 +817,7 @@ class WilkingReport(NamedTuple):
 def _wilking_verdicts(triples: list, tol: float):
     """The rows of the triples read as metrics, the recheck's residuals
     and bounds at 1e-9, and the (n,) pass mask."""
-    op_a, op_b6, inv_a, inv_b6, _ = _metric_blocks(
+    op_a, op_b6, inv_a, inv_b6 = _metric_blocks(
         np.array([t.A for t in triples]) - np.eye(3),
         np.array([t.block6 for t in triples]) - np.eye(6), 1.0)
     ring = _RowsRing(op_a, op_b6, inv_a, inv_b6)

@@ -87,12 +87,6 @@ class MetricDeformation:
         """The symmetric 6x6 block (C -B; B C) acting on (v, w)."""
         return self.matrix9[3:9, 3:9]
 
-    def apply(self, x: SpElement) -> SpElement:
-        """Apply the block operator to x in m."""
-        if not x.in_m(tol=1e-9):
-            raise ValueError("metric operators are only defined on m")
-        return SpElement.from_array(self._apply_arr(x.data))
-
     def _apply_arr(self, a: np.ndarray) -> np.ndarray:
         out = np.empty(10)
         out[0] = a[0]
@@ -142,16 +136,14 @@ class DeformedMetric:
         "_op_block6",
         "_inv_a",
         "_inv_block6",
-        "_min_eig",
     )
 
     def __init__(self, deformation: MetricDeformation, t: float):
         self.deformation = deformation
         self.t = float(t)
-        (self._op_a, self._op_block6, self._inv_a, self._inv_block6,
-         min_eig) = _metric_blocks(deformation.A, deformation.block6, self.t)
-        self._min_eig = float(min_eig)
-        for m in (self._op_a, self._op_block6, self._inv_a, self._inv_block6):
+        blocks = _metric_blocks(deformation.A, deformation.block6, self.t)
+        self._op_a, self._op_block6, self._inv_a, self._inv_block6 = blocks
+        for m in blocks:
             m.setflags(write=False)
 
     def operator_a(self) -> np.ndarray:
@@ -161,9 +153,6 @@ class DeformedMetric:
     def operator_block6(self) -> np.ndarray:
         """The symmetric 6x6 block acting on the (v, w) factor."""
         return self._op_block6
-
-    def min_eigenvalue(self) -> float:
-        return self._min_eig
 
     def _apply_arr(self, a: np.ndarray) -> np.ndarray:
         out = np.empty(10)
@@ -191,16 +180,12 @@ class DeformedMetric:
             raise ValueError("the metric is only defined on m")
         return SpElement.from_array(self._solve_arr(x.data))
 
-    def inner(self, x: SpElement, y: SpElement) -> float:
-        """Metric inner product <x, M_t y> in the bi-invariant pairing."""
-        return float(x.data @ self._apply_arr(y.data))
-
     def __repr__(self) -> str:
         return f"DeformedMetric(t={self.t!r}, deformation={self.deformation!r})"
 
 
 def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):
-    """I + t a, I + t block6, their inverses and the smallest eigenvalue.
+    """I + t a, I + t block6 and their inverses.
 
     For one metric, or for (n, 3, 3) and (n, 6, 6) stacks, each block
     getting the bits it gets alone.  Raises ValueError before inverting
@@ -215,7 +200,7 @@ def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):
             f"I + tL is not positive definite at t={t!r} "
             f"(smallest eigenvalue {float(np.min(min_eig)):.3e})"
         )
-    return op_a, op_b6, np.linalg.inv(op_a), np.linalg.inv(op_b6), min_eig
+    return op_a, op_b6, np.linalg.inv(op_a), np.linalg.inv(op_b6)
 
 
 def random_deformation(seed) -> MetricDeformation:

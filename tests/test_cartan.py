@@ -12,12 +12,11 @@ from sp2curv import (
     ad_h,
     canonicalize,
     centralizer_in_m,
-    in_special_orbit,
     is_commuting_pair,
     sample_cartan,
     special_orbit_distance,
 )
-from sp2curv.cartan import _canonical_rows
+from sp2curv.cartan import SPECIAL_ORBIT_TOL, _canonical_rows
 
 from conftest import element
 
@@ -169,7 +168,6 @@ def test_canonicalize_rejects_bad_input():
 
 def test_t0_is_on_the_orbit():
     x, y = t0_pair()
-    assert in_special_orbit(x, y)
     d, _ = special_orbit_distance(x, y)
     assert d < 1e-12
 
@@ -177,15 +175,17 @@ def test_t0_is_on_the_orbit():
 @pytest.mark.parametrize("angle", [0.37, 1.2, 2.8])
 def test_rotated_copies_stay_on_orbit(angle):
     x, y = t0_pair()
-    assert in_special_orbit(ad_h(angle, x), ad_h(angle, y))
+    d, _ = special_orbit_distance(ad_h(angle, x), ad_h(angle, y))
+    assert d <= SPECIAL_ORBIT_TOL
 
 
 def test_recombined_copies_stay_on_orbit():
     x, y = t0_pair()
     g = np.array([[2.0, 1.0], [0.5, 1.0]])
     rows = g @ np.array([x.data, y.data])
-    assert in_special_orbit(SpElement.from_array(rows[0]),
-                            SpElement.from_array(rows[1]))
+    d, _ = special_orbit_distance(SpElement.from_array(rows[0]),
+                                  SpElement.from_array(rows[1]))
+    assert d <= SPECIAL_ORBIT_TOL
 
 
 def test_generic_f1_plane_is_off_orbit():
@@ -199,7 +199,7 @@ def test_small_perturbation_is_resolved():
     y = element(w=E2)
     d, _ = special_orbit_distance(x, y)
     assert 1e-6 < d < 1e-2
-    assert not in_special_orbit(x, y)
+    assert d > SPECIAL_ORBIT_TOL
 
 
 def test_distance_agrees_with_principal_angles():

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -109,34 +110,37 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-# ---- the parser main builds ----
-
-
-def _parse(parser, argv, capsys):
-    try:
-        result = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--samples", "5", "--format", "csv"],
-    ["lemma1", "--family", "F3", "--adversarial", "--out", "r.json"],
-    ["lemma1", "--family", "F5"],
-    ["theorem1", "--t", "0.001,-0.01", "--tol", "1e-9"],
-    ["theorem1", "--t", "x"],
-    ["wilking", "--seed", "3"],
-    ["wilking", "--samples"],
-    ["classify", T0_X, T0_Y, "--format", "text"],
-    ["classify", T0_X],
-    ["classify", T0_X, T0_Y, "--frobnicate"],
-    ["classify", "--help"],
+@pytest.mark.parametrize("argv, suite, keyword", [
+    (["oracle", "--samples", "50"], experiments.run_oracle_suite, "tol"),
+    (["lemma1", "--samples", "20"], experiments.verify_lemma1, "c2_tol"),
+    (["theorem1", "--samples", "20"], experiments.verify_theorem1, "pos_tol"),
+    (["wilking", "--samples", "5"], experiments.verify_wilking, "tol"),
+    (["classify", T0_X, T0_Y], experiments.classify_plane, "orbit_tol"),
 ])
-def test_parser_for_one_subcommand_reads_as_the_full_parser(argv, capsys):
-    full = _parse(build_parser(), argv, capsys)
-    assert _parse(build_parser(only=argv[0]), argv, capsys) == full
+def test_without_tol_each_command_runs_at_its_suites_default(
+        capsys, monkeypatch, argv, suite, keyword):
+    # The CLI passes the keyword only for --tol, so the default is the
+    # suite's own; the report at that default is the report without --tol.
+    default = inspect.signature(suite).parameters[keyword].default
+    passed = []
+
+    def recorded(*args, **kwargs):
+        passed.append(kwargs)
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, suite.__name__, recorded)
+    reports = []
+    for extra in ([], ["--tol", repr(default)]):
+        _, payload = run_json(capsys, argv + extra)
+        payload.pop("timing_seconds")
+        reports.append((payload["config"].pop("tol"),
+                        json.dumps(payload, sort_keys=True)))
+    assert keyword not in passed[0] and passed[1][keyword] == default
+    assert reports[0][0] is None and reports[1][0] == default
+    assert reports[0][1] == reports[1][1]
+
+
+# ---- the parser main builds ----
 
 
 def _without_timing(out):
@@ -202,7 +206,7 @@ def test_cached_parsers_give_what_fresh_parsers_give(capsys, monkeypatch,
         ["lemma1", "--samples", "20"],
     ]
     cached = [_report(capsys, argv, out) for argv in calls]
-    assert cli._parser(only="classify") is cli._parser(only="classify")
+    assert cli._parser() is cli._parser()
     monkeypatch.setattr(cli, "_parser", build_parser)
     fresh = [_report(capsys, argv, out) for argv in calls]
     assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 0, 0, 0, 0]
@@ -211,7 +215,6 @@ def test_cached_parsers_give_what_fresh_parsers_give(capsys, monkeypatch,
 
 def test_build_parser_returns_a_new_parser_each_call():
     assert build_parser() is not build_parser()
-    assert build_parser(only="classify") is not build_parser(only="classify")
 
 
 # ---- empty measurements are null ----
