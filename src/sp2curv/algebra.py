@@ -90,22 +90,6 @@ class SpElement:
         out.data = copy
         return out
 
-    @property
-    def lam(self) -> float:
-        return float(self.data[0])
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.data[1:4]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.data[4:7]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.data[7:10]
-
     def in_m(self, tol: float = 1e-12) -> bool:
         """True if the element lies in the tangent model m (lam = 0)."""
         lam = abs(self.data[0])
@@ -119,10 +103,8 @@ class SpElement:
         return SpElement.from_array(self.data - other.data)
 
     def __repr__(self) -> str:
-        return (
-            f"SpElement(lam={self.lam!r}, u={self.u.tolist()!r}, "
-            f"v={self.v.tolist()!r}, w={self.w.tolist()!r})"
-        )
+        d = self.data.tolist()
+        return f"SpElement(lam={d[0]!r}, u={d[1:4]!r}, v={d[4:7]!r}, w={d[7:10]!r})"
 
 
 # ---- coordinate bracket (fast path) ----
@@ -193,17 +175,23 @@ def _bracket_table():
 
 
 _BR_I, _BR_J, _BR_SIGN = _bracket_table()
+_BR_SIGNED_I = _BR_I + 10 * (_BR_SIGN < 0)  # rows of [a^T; -a^T]
 
 
 def _bracket_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bracket of (n, 10) arrays, row by row, from the structure constants.
 
-    Each row gets the bits _bracket_list gives it, whatever n is.  The
-    products are gathered as (6, 10, n), so the sums run contiguously.
+    Each row gets the bits _bracket_list gives it, whatever n is, as
+    -a_i b_j rounds to -(a_i b_j): a's entries are gathered with their
+    signs.  The products are gathered as (6, 10, n), so the sums run
+    contiguously.
     """
-    p = a.T[_BR_I]
+    signed = np.empty((20,) + a.T.shape[1:])
+    signed[:10] = a.T
+    np.negative(a.T, out=signed[10:])
+    p = signed[_BR_SIGNED_I]
+    del signed  # before b's gather, so as not to raise the memory peak
     p *= b.T[_BR_J]
-    p *= _BR_SIGN[..., None]
     for term in p[1:]:
         p[0] += term
     return np.ascontiguousarray(p[0].T)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _ad_h_arr, _bracket_rows, _cross, _norm
+from .algebra import _BR_I, _BR_J, _BR_SIGN, SpElement, _ad_h_arr, _cross, _norm
 from .curvature import _rows_dot, is_commuting_pair
 from .metric import _uniform, as_generator
 
@@ -51,6 +51,10 @@ _RETRY_ANGLES = (0.0, 0.37, 0.71, 1.13, 1.57, 2.03)
 _RANK_TOL = 1e-8
 _RESIDUAL_TOL = 1e-7
 
+# Term t of [a, e_m]_k, e_1..e_9 the basis of m, is a_{_BR_I[t, k]} times
+# entry (t, k, m): e_m[j] * sign, so a zero keeps the sign it has there.
+_M_BASIS_BRACKET = (_BR_J[..., None] == np.arange(1, 10)) * _BR_SIGN[..., None]
+
 
 def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
     """Orthonormal basis, as (dim, 10) rows, of {y in m : [x, y] = 0}.
@@ -59,8 +63,10 @@ def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
     algebra (10 coordinates); the centralizer is its nullspace, read off
     from the singular values below tol times the largest one.
     """
-    cols = _bracket_rows(np.broadcast_to(x.data, (9, 10)), np.eye(10)[1:]).T
-    _, svals, vt = np.linalg.svd(cols)
+    terms = x.data[_BR_I][..., None] * _M_BASIS_BRACKET
+    for term in terms[1:]:
+        terms[0] += term
+    _, svals, vt = np.linalg.svd(terms[0])
     cutoff = tol * (svals[0] if svals[0] > 0.0 else 1.0)
     rank = int(np.sum(svals > cutoff))
     null9 = vt[rank:]
@@ -78,11 +84,9 @@ class _ReductionFailed(Exception):
 
 
 class CartanClassification(NamedTuple):
-    """Canonical form of a commuting plane plus the transformation back.
-
-    reconstruction of the input pair: apply the isotropy rotation by
-    witness_angle to each row of witness_matrix @ [canonical_x; canonical_y].
-    """
+    """Canonical form of a commuting plane plus the transformation back:
+    the isotropy rotation by witness_angle of each row of
+    witness_matrix @ [canonical_x; canonical_y] reconstructs the input pair."""
 
     family: str
     parameters: dict
@@ -692,17 +696,13 @@ def _canonical_rows(family: str, params: dict) -> np.ndarray:
         rows[0, 1:4] = params["u"]
         rows[0, 7:10] = params["w"]
         rows[1, 4:7] = params["u"]
-    elif family == "F3":
+    elif family in ("F3", "F4"):
         rows[0, 1:4] = params["u"]
         rows[0, 4:7] = params["p"]
         rows[1, 1:4] = params["p"]
         rows[1, 4:7] = params["u"]
-    elif family == "F4":
-        rows[0, 1:4] = params["u"]
-        rows[0, 4:7] = params["p"]
-        rows[1, 1:4] = params["p"]
-        rows[1, 4:7] = params["u"]
-        rows[1, 7:10] = params["mu"] * params["u"]
+        if family == "F4":
+            rows[1, 7:10] = params["mu"] * params["u"]
     else:
         raise ValueError(f"unknown family {family!r}")
     return rows

@@ -33,6 +33,7 @@ C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, which the jet path must reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -155,25 +156,33 @@ def _u(ring, a, ma, b, mb):
     return 0.5 * ring.solve(_m_part(ring.br(a, mb) + ring.br(b, ma)))
 
 
-def _six_terms(ring, x, y, mx=None, my=None):
+def _plane_terms(br, x, y) -> tuple:
+    """The metric-free brackets of C: [X,Y]_m, [[Y,X]_m, Y]_m,
+    [[X,Y]_m, X]_m and [[X,Y]_h, X], under the bracket ``br``."""
+    xy = br(x, y)
+    xy_m = _m_part(xy)
+    return xy_m, _m_part(br(-xy_m, y)), _m_part(br(xy_m, x)), br(xy - xy_m, x)
+
+
+def _six_terms(ring, x, y, mx=None, my=None, plane=None):
     """C(X, Y, t) term by term as in the module docstring.
 
     ``ring`` supplies the bracket ``br``, ``apply`` (M), ``solve`` (M^{-1})
     and the bi-invariant ``inner``, so <a, b> = inner(a, apply(b)).  A
-    caller that already holds M x and M y passes them as ``mx``, ``my``.
+    caller that already holds M x and M y passes them as ``mx``, ``my``,
+    and one that holds _plane_terms(ring.br, x, y) passes it as ``plane``.
     """
-    br, apply, inner = ring.br, ring.apply, ring.inner
+    apply, inner = ring.apply, ring.inner
     if mx is None:
         mx, my = apply(x), apply(y)
-    xy = br(x, y)
-    xy_m = _m_part(xy)
+    xy_m, yxy_m, xyx_m, hxy_x = plane or _plane_terms(ring.br, x, y)
     u_xy = _u(ring, x, mx, y, my)
     u_xx = _u(ring, x, mx, x, mx)
     u_yy = _u(ring, y, my, y, my)
     return (-0.75 * inner(xy_m, apply(xy_m))
-            + 0.5 * inner(_m_part(br(-xy_m, y)), mx)
-            + 0.5 * inner(_m_part(br(xy_m, x)), my)
-            + inner(br(xy - xy_m, x), my)
+            + 0.5 * inner(yxy_m, mx)
+            + 0.5 * inner(xyx_m, my)
+            + inner(hxy_x, my)
             + inner(u_xy, apply(u_xy))
             - inner(u_xx, apply(u_yy)))
 
@@ -257,29 +266,32 @@ def _metric_ring(m: DeformedMetric) -> _RowsRing:
                      m._inv_a[None], m._inv_block6[None])
 
 
-def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray):
+def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray, plane=None):
     """C and S for the planes spanned by the rows of (n, 10) arrays x, y.
 
     S = g(x,x) g(y,y) - g(x,y)^2.  Raises ValueError if any S is
-    nonpositive.
+    nonpositive.  ``plane`` is as for _six_terms.
     """
     mx, my = ring.apply(x), ring.apply(y)
     xmy = _rows_dot(x, my)
     s = _rows_dot(x, mx) * _rows_dot(y, my) - xmy * xmy
     if np.any(s <= 0.0):
         raise ValueError("degenerate plane: nonpositive metric Gram determinant")
-    return _six_terms(ring, x, y, mx, my), s
+    return _six_terms(ring, x, y, mx, my, plane), s
 
 
-def _sectional_curvature_rows(m: DeformedMetric, x: np.ndarray,
-                              y: np.ndarray) -> np.ndarray:
-    """K = C / S for the planes spanned by the rows of (n, 10) arrays x, y."""
-    ring = _metric_ring(m)
-    k = np.empty(len(x))
+def _sectional_curvature_rows(metrics: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K = C / S under each metric (one row of the result each), for the
+    planes spanned by the rows of (n, 10) arrays x, y.  The metrics share
+    the metric-free brackets of each chunk of rows."""
+    rings = [_metric_ring(m) for m in metrics]
+    k = np.empty((len(rings), len(x)))
     for lo in range(0, len(x), _ROWS_CHUNK):
         rows = slice(lo, lo + _ROWS_CHUNK)
-        c, s = _curvature_rows(ring, x[rows], y[rows])
-        k[rows] = c / s
+        plane = _plane_terms(_bracket_rows, x[rows], y[rows])
+        for j, ring in enumerate(rings):
+            c, s = _curvature_rows(ring, x[rows], y[rows], plane)
+            k[j, rows] = c / s
     return k
 
 
@@ -320,17 +332,23 @@ def sectional_curvature(m: DeformedMetric, plane: TangentPlane) -> CurvatureRepo
 # ---- jets of C at t = 0 ----
 
 
+@functools.cache
+def _cauchy_pairs(len_p: int, len_q: int) -> tuple:
+    """The (i, k - i) of each coefficient k of _cauchy, lowest i first."""
+    return tuple(tuple((i, k - i) for i in range(max(0, k - len_q + 1), min(k, len_p - 1) + 1))
+                 for k in range(min(_JET_ORDER, len_p + len_q - 2) + 1))
+
+
 def _cauchy(p, q, mul, add=operator.add) -> list:
     """Coefficients of the product of two jets, truncated after t^4.
 
     Coefficient k is mul(p[i], q[k - i]) summed from the lowest i up.
     """
     out = []
-    for k in range(min(_JET_ORDER, len(p) + len(q) - 2) + 1):
-        lo, hi = max(0, k - len(q) + 1), min(k, len(p) - 1)
-        acc = mul(p[lo], q[k - lo])
-        for i in range(lo + 1, hi + 1):
-            acc = add(acc, mul(p[i], q[k - i]))
+    for (i, j), *rest in _cauchy_pairs(len(p), len(q)):
+        acc = mul(p[i], q[j])
+        for i, j in rest:
+            acc = add(acc, mul(p[i], q[j]))
         out.append(acc)
     return out
 
@@ -359,11 +377,12 @@ class _JetRing:
 
     def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.array(_cauchy(p.tolist(), q.tolist(), _bracket_list,
-                                lambda a, b: [s + t for s, t in zip(a, b)]))
+                                lambda a, b: list(map(operator.add, a, b))))
 
     def inner(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # dots[i][j] = p_i . q_j, so mul(dots[i], j) = dots[i][j].
         dots = _rows_dot(p[:, None], q[None]).tolist()
-        out = _cauchy(range(len(p)), range(len(q)), lambda i, j: dots[i][j])
+        out = _cauchy(dots, range(len(q)), list.__getitem__)
         return np.array(out + [0.0] * (_JET_ORDER + 1 - len(out)))
 
     def apply(self, p: np.ndarray) -> np.ndarray:

@@ -600,18 +600,25 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
     x, y = _orthonormal_rows(np.array([p.x.data for p in planes]),
                              np.array([p.y.data for p in planes]))
 
-    def scan(metric: DeformedMetric):
-        # np.argmin returns the first NaN if there is one, so a NaN
-        # curvature makes the scan's minimum NaN and fails it.
-        k = _sectional_curvature_rows(metric, x, y)
-        argmin = int(np.argmin(k))
-        return float(k[argmin]), argmin
+    # Empirical frontier: largest grid time at which the whole sample
+    # stays positive.  No supremum claim, just the measured extent.
+    grid = []
+    for mag in sorted(_FRONTIER_GRID):
+        t = sigma * mag
+        try:
+            grid.append((t, DeformedMetric(deformation, t)))
+        except ValueError:  # not positive definite, so not scanned
+            grid.append((t, None))
+    # One scan under all metrics.  np.argmin returns the first NaN if there
+    # is one, so a NaN curvature makes a scan's minimum NaN and fails it.
+    k = _sectional_curvature_rows(metrics + [m for _, m in grid if m is not None], x, y)
+    argmins = np.argmin(k, axis=1).tolist()
+    mins = iter(zip(k[range(len(k)), argmins].tolist(), argmins))
 
     scans = []
     ok = True
-    for metric in metrics:
+    for metric, (min_k, argmin) in zip(metrics, mins):
         t = metric.t
-        min_k, argmin = scan(metric)
         if t == 0.0:
             positive = abs(min_k) <= 1e-12
             over_t2 = over_t3 = 0.0
@@ -633,18 +640,10 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
                                 special_plane()).k_value
     ok = ok and k_opp < 0.0
 
-    # Empirical frontier: largest grid time at which the whole sample
-    # stays positive.  No supremum claim, just the measured extent.
     frontier = []
     frontier_t = 0.0
-    for mag in sorted(_FRONTIER_GRID):
-        t = sigma * mag
-        try:
-            metric = DeformedMetric(deformation, t)
-        except ValueError:
-            frontier.append((t, float("nan"), False))
-            continue
-        min_k, _ = scan(metric)
+    for t, metric in grid:
+        min_k = float("nan") if metric is None else next(mins)[0]
         frontier.append((t, min_k, min_k > 0.0))
         if min_k > 0.0:
             frontier_t = t
@@ -892,7 +891,7 @@ def run_baseline_suite(seed: int, samples: int = 10000, *,
         else:
             plane, _, _ = sample_commuting_plane(seed, i)
             x[i], y[i] = plane.x.data, plane.y.data
-    k = _sectional_curvature_rows(metric, *_orthonormal_rows(x, y))
+    k = _sectional_curvature_rows([metric], *_orthonormal_rows(x, y))[0]
     # np.min and np.max keep a NaN, which the builtin min and max drop.
     min_k = float(np.min(k))
     max_comm = float(np.max(np.abs(k[1::2]), initial=0.0))

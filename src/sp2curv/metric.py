@@ -154,34 +154,28 @@ class DeformedMetric:
         """The symmetric 6x6 block acting on the (v, w) factor."""
         return self._op_block6
 
-    def _apply_arr(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(10)
-        out[0] = a[0]
-        out[1:4] = self._op_a @ a[1:4]
-        out[4:10] = self._op_block6 @ a[4:10]
-        return out
-
-    def _solve_arr(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(10)
-        out[0] = a[0]
-        out[1:4] = self._inv_a @ a[1:4]
-        out[4:10] = self._inv_block6 @ a[4:10]
-        return out
-
     def apply(self, x: SpElement) -> SpElement:
         """M_t x for x in m."""
-        if not x.in_m(tol=1e-9):
-            raise ValueError("the metric is only defined on m")
-        return SpElement.from_array(self._apply_arr(x.data))
+        return _block_act(self._op_a, self._op_block6, x)
 
     def inverse_apply(self, x: SpElement) -> SpElement:
         """Solve M_t y = x for y in m."""
-        if not x.in_m(tol=1e-9):
-            raise ValueError("the metric is only defined on m")
-        return SpElement.from_array(self._solve_arr(x.data))
+        return _block_act(self._inv_a, self._inv_block6, x)
 
     def __repr__(self) -> str:
         return f"DeformedMetric(t={self.t!r}, deformation={self.deformation!r})"
+
+
+def _block_act(a3: np.ndarray, b6: np.ndarray, x: SpElement) -> SpElement:
+    """The operator that is the identity on h, a3 on u and b6 on (v, w),
+    applied to x in m."""
+    if not x.in_m(tol=1e-9):
+        raise ValueError("the metric is only defined on m")
+    out = np.empty(10)
+    out[0] = x.data[0]
+    out[1:4] = a3 @ x.data[1:4]
+    out[4:10] = b6 @ x.data[4:10]
+    return SpElement.from_array(out)
 
 
 def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):

@@ -15,6 +15,11 @@ def element(lam=0.0, u=(0, 0, 0), v=(0, 0, 0), w=(0, 0, 0)) -> SpElement:
     return SpElement.from_array(data)
 
 
+def bits(a) -> np.ndarray:
+    """The uint64 bits of float64 values, for bit-for-bit comparisons."""
+    return np.asarray(a).view(np.uint64)
+
+
 # Bounded coordinate strategy; keeps products and brackets well inside
 # float64 range so tolerance checks stay meaningful.
 coords = arrays(np.float64, (10,),

@@ -15,22 +15,21 @@ from sp2curv import (
     norm,
 )
 from sp2curv.algebra import (
-    _bracket_arr,
+    _bracket_list,
     _bracket_rows,
     _norm,
     from_matrix,
     to_matrix,
 )
 
-from conftest import coords, element
+from conftest import bits, coords, element
 
 
-def test_element_layout_and_views():
+def test_element_layout_and_repr():
     x = element(lam=2.0, u=(1, 2, 3), v=(4, 5, 6), w=(7, 8, 9))
-    assert x.lam == 2.0
-    np.testing.assert_array_equal(x.u, [1, 2, 3])
-    np.testing.assert_array_equal(x.v, [4, 5, 6])
-    np.testing.assert_array_equal(x.w, [7, 8, 9])
+    np.testing.assert_array_equal(x.data, [2, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+    assert repr(x) == ("SpElement(lam=2.0, u=[1.0, 2.0, 3.0], "
+                       "v=[4.0, 5.0, 6.0], w=[7.0, 8.0, 9.0])")
     with pytest.raises(ValueError):
         x.data[0] = 0.0
 
@@ -229,12 +228,15 @@ def test_ad_h_preserves_inner_product():
 
 def test_batched_bracket_matches_scalar_bracket_bit_for_bit():
     rng = np.random.default_rng(4)
-    a, b = rng.uniform(-1.0, 1.0, (2, 300, 10))
-    scalar = np.array([_bracket_arr(p, q) for p, q in zip(a, b)])
-    np.testing.assert_array_equal(_bracket_rows(a, b).view(np.uint64),
-                                  scalar.view(np.uint64))
-    np.testing.assert_array_equal(_bracket_rows(a[:1], b[:1]).view(np.uint64),
-                                  scalar[:1].view(np.uint64))
+    for n in (1, 2, 7, 256, 1000):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2 * n, 10))
+        # A zero's sign shows in the products it meets and in their sums.
+        zero = rng.random((2, 2 * n, 10)) < 0.3
+        a[zero[0]] = np.copysign(0.0, a[zero[0]])
+        b[zero[1]] = np.copysign(0.0, b[zero[1]])
+        for p, q in ((a[:n], b[:n]), (a[::2], b[1::2])):  # contiguous, strided
+            scalar = [_bracket_list(r, s) for r, s in zip(p.tolist(), q.tolist())]
+            np.testing.assert_array_equal(bits(_bracket_rows(p, q)), bits(scalar))
 
 
 def test_batched_bracket_returns_c_contiguous_rows():
@@ -257,7 +259,7 @@ def test_norm_helper_keeps_the_bits_of_np_linalg_norm(size):
         for v in (block[0, :size].copy(), block[1, size:2 * size],
                   block[0, ::3], block[:, 1][: min(size, 2)]):
             got, want = _norm(v), float(np.linalg.norm(v))
-            if np.float64(got).view(np.uint64) != np.float64(want).view(np.uint64):
+            if bits(got) != bits(want):
                 bad.append((v.tolist(), got, want))
     assert bad == []
 

@@ -16,9 +16,10 @@ from sp2curv import (
     sample_cartan,
     special_orbit_distance,
 )
+from sp2curv.algebra import _bracket_rows
 from sp2curv.cartan import SPECIAL_ORBIT_TOL, _canonical_rows
 
-from conftest import element
+from conftest import bits, element
 
 FAMILIES = ("F1", "F2", "F3", "F4")
 
@@ -72,6 +73,20 @@ def test_centralizer_rows_commute_and_are_orthonormal():
                                atol=1e-12)
     for row in basis:
         assert is_commuting_pair(x, SpElement.from_array(row))
+
+
+def test_centralizer_matrix_is_the_rows_bracket_on_the_basis(monkeypatch):
+    """The 10x9 matrix handed to the SVD, signed zeros included."""
+    rng = np.random.default_rng(9)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: seen.append(a) or svd(a))
+    for _ in range(50):
+        data = rng.normal(size=10) * (rng.random(10) < 0.6)
+        data[rng.random(10) < 0.3] *= -1.0
+        centralizer_in_m(SpElement.from_array(data))
+        want = _bracket_rows(np.broadcast_to(data, (9, 10)), np.eye(10)[1:]).T
+        np.testing.assert_array_equal(bits(seen.pop()), bits(want))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -39,7 +39,7 @@ from sp2curv.curvature import (
 )
 from sp2curv.experiments import _FRONTIER_GRID
 
-from conftest import element
+from conftest import bits, element
 
 
 # ---- tangent planes ----
@@ -258,10 +258,6 @@ def test_denominator_positive_and_k_ratio(generic_triple):
 # ---- the rows primitives ----
 
 
-def _bits(a):
-    return np.asarray(a).view(np.uint64)
-
-
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_row"])
 def test_rows_primitives_do_not_depend_on_the_stack(shared):
     rng = np.random.default_rng(17)
@@ -277,21 +273,21 @@ def test_rows_primitives_do_not_depend_on_the_stack(shared):
         for lo in {0, 1000 - n}:
             rows = slice(lo, lo + n)
             np.testing.assert_array_equal(
-                _bits(_rows_matvec(op(rows), a[rows])), _bits(whole[rows]))
-            np.testing.assert_array_equal(_bits(_rows_dot(a[rows], b[rows])),
-                                          _bits(dots[rows]))
+                bits(_rows_matvec(op(rows), a[rows])), bits(whole[rows]))
+            np.testing.assert_array_equal(bits(_rows_dot(a[rows], b[rows])),
+                                          bits(dots[rows]))
     every = slice(None, None, 2)
-    np.testing.assert_array_equal(_bits(_rows_matvec(op(every), a[every])),
-                                  _bits(whole[every]))
-    np.testing.assert_array_equal(_bits(_rows_dot(a[every], b[every])),
-                                  _bits(dots[every]))
+    np.testing.assert_array_equal(bits(_rows_matvec(op(every), a[every])),
+                                  bits(whole[every]))
+    np.testing.assert_array_equal(bits(_rows_dot(a[every], b[every])),
+                                  bits(dots[every]))
     mat9 = np.ascontiguousarray(mat[..., 1:, 1:])
-    np.testing.assert_array_equal(_bits(_rows_matvec(mat9, a[:, 1:])),
-                                  _bits(_rows_matvec(mat9, a[:, 1:].copy())))
+    np.testing.assert_array_equal(bits(_rows_matvec(mat9, a[:, 1:])),
+                                  bits(_rows_matvec(mat9, a[:, 1:].copy())))
     for r in range(1000):
-        assert _bits(dots[r]) == _bits(a[r] @ b[r]), r
-        assert _bits(_rows_dot(a[r, 1:], b[r, 1:])) == _bits(a[r, 1:] @ b[r, 1:]), r
-        np.testing.assert_array_equal(_bits(whole[r]), _bits(op(r) @ a[r]))
+        assert bits(dots[r]) == bits(a[r] @ b[r]), r
+        assert bits(_rows_dot(a[r, 1:], b[r, 1:])) == bits(a[r, 1:] @ b[r, 1:]), r
+        np.testing.assert_array_equal(bits(whole[r]), bits(op(r) @ a[r]))
 
 
 def test_rows_matvec_takes_its_operator_c_contiguous():
@@ -301,8 +297,8 @@ def test_rows_matvec_takes_its_operator_c_contiguous():
     for mat in (rng.normal(size=(10, 10)), rng.normal(size=(300, 10, 10))):
         fortran = np.ascontiguousarray(np.swapaxes(mat, -1, -2)).swapaxes(-1, -2)
         assert not fortran.flags.c_contiguous
-        np.testing.assert_array_equal(_bits(_rows_matvec(fortran, a)),
-                                      _bits(_rows_matvec(mat, a)))
+        np.testing.assert_array_equal(bits(_rows_matvec(fortran, a)),
+                                      bits(_rows_matvec(mat, a)))
     metric = DeformedMetric(reference_deformation(), -0.01)
     ring = _RowsRing(metric.operator_a().T, metric.operator_block6().T,
                      metric._inv_a.T, metric._inv_block6.T)
@@ -336,7 +332,7 @@ def test_batched_curvature_matches_scalar(seed, t, sign):
     except ValueError:
         assume(False)
     planes, x, y = _mixed_planes(seed, 6)
-    k = _sectional_curvature_rows(metric, x, y)
+    k = _sectional_curvature_rows([metric], x, y)[0]
     scalar = [sectional_curvature(metric, p).k_value for p in planes]
     np.testing.assert_allclose(k, scalar, rtol=0.0, atol=1e-14)
 
@@ -345,12 +341,30 @@ def test_batched_curvature_does_not_depend_on_chunk_size(monkeypatch):
     _, x, y = _mixed_planes(3, 40)
     for t in (-0.01, -0.2):
         metric = DeformedMetric(reference_deformation(), t)
-        whole = _sectional_curvature_rows(metric, x, y).view(np.uint64)
+        whole = bits(_sectional_curvature_rows([metric], x, y))
         for chunk in (1, 7):
             monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
             np.testing.assert_array_equal(
-                _sectional_curvature_rows(metric, x, y).view(np.uint64), whole)
+                bits(_sectional_curvature_rows([metric], x, y)), whole)
         monkeypatch.undo()
+
+
+def test_scan_of_many_metrics_is_the_one_metric_scans(monkeypatch):
+    """Row j of a scan under many metrics, which share each chunk's
+    metric-free brackets, is the scan under metric j alone, to the bit."""
+    _, x, y = _mixed_planes(3, 150)
+    metrics = [DeformedMetric(reference_deformation(), t)
+               for t in (-0.2, -0.01, 0.0, 0.01)]
+    metrics += [random_admissible_metric(seed).as_metric() for seed in range(2)]
+    alone = [bits(_sectional_curvature_rows([m], x, y)[0]) for m in metrics]
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
+        k = _sectional_curvature_rows(metrics, x, y)
+        assert k.shape == (len(metrics), len(x))
+        for j, metric in enumerate(metrics):
+            np.testing.assert_array_equal(bits(k[j]), alone[j])
+            np.testing.assert_array_equal(
+                bits(_sectional_curvature_rows([metric], x, y)[0]), alone[j])
 
 
 def test_batched_curvature_rejects_degenerate_row():
@@ -360,7 +374,7 @@ def test_batched_curvature_rejects_degenerate_row():
         y_bad = y.copy()
         y_bad[5] = bad
         with pytest.raises(ValueError, match="degenerate plane"):
-            _sectional_curvature_rows(metric, x, y_bad)
+            _sectional_curvature_rows([metric], x, y_bad)
 
 
 # ---- one plane is the one-row case ----
@@ -375,19 +389,19 @@ def test_one_plane_values_are_rows_of_any_stack(seed):
     reports = np.array([sectional_curvature(metric, p) for p in planes])
     u_xy = np.array([u_tensor(metric, p.x, p.y).data for p in planes])
     u_xx = np.array([u_tensor(metric, p.x, p.x).data for p in planes])
-    np.testing.assert_array_equal(_bits(den), _bits(reports[:, 1]))
+    np.testing.assert_array_equal(bits(den), bits(reports[:, 1]))
     ring = curvature._metric_ring(metric)
     for n in (1, 7, 256):
         xs, ys = x[:n], y[:n]
         c, s = curvature._curvature_rows(ring, xs, ys)
         mx, my = ring.apply(xs), ring.apply(ys)
-        np.testing.assert_array_equal(_bits(num[:n]), _bits(c))
-        np.testing.assert_array_equal(_bits(reports[:n]),
-                                      _bits(np.column_stack([c, s, c / s])))
+        np.testing.assert_array_equal(bits(num[:n]), bits(c))
+        np.testing.assert_array_equal(bits(reports[:n]),
+                                      bits(np.column_stack([c, s, c / s])))
         np.testing.assert_array_equal(
-            _bits(u_xy[:n]), _bits(curvature._u(ring, xs, mx, ys, my)))
+            bits(u_xy[:n]), bits(curvature._u(ring, xs, mx, ys, my)))
         np.testing.assert_array_equal(
-            _bits(u_xx[:n]), _bits(curvature._u(ring, xs, mx, xs, mx)))
+            bits(u_xx[:n]), bits(curvature._u(ring, xs, mx, xs, mx)))
 
 
 def test_sectional_curvature_rejects_a_degenerate_plane():
@@ -425,13 +439,12 @@ def test_batched_jets_do_not_depend_on_chunk_size(monkeypatch):
     _, x, y = _mixed_planes(3, 40)
     pool = [reference_deformation()] + _jet_pool(3, 6)
     which = np.arange(len(x)) % len(pool)
-    whole = curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64)
+    whole = bits(curvature._numerator_jet_rows(pool, which, x, y))
     for chunk in (1, 7):
         monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
         monkeypatch.setattr(curvature, "_JET_CHUNK", chunk)
         np.testing.assert_array_equal(
-            curvature._numerator_jet_rows(pool, which, x, y).view(np.uint64),
-            whole)
+            bits(curvature._numerator_jet_rows(pool, which, x, y)), whole)
 
 
 def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
@@ -451,7 +464,7 @@ def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
     monkeypatch.undo()
     assert shapes == [((1, 9, 9), (5, 1, 9, 9))]
     two = curvature._numerator_jet_rows([d, d], np.arange(len(x)) % 2, x, y)
-    np.testing.assert_array_equal(_bits(one), _bits(two))
+    np.testing.assert_array_equal(bits(one), bits(two))
 
 
 # ---- the rows Gram-Schmidt ----

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,7 @@ from sp2curv.curvature import (
 )
 from sp2curv.experiments import _ORACLE_CHUNK
 
-from conftest import element
+from conftest import bits, element
 
 
 # ---- oracle suite ----
@@ -340,8 +342,7 @@ def _measured_rows(report):
 
 
 def _verdict_bits(report):
-    return np.array([[v.orbit_distance, v.c2, v.c3]
-                     for v in report.verdicts]).view(np.uint64)
+    return bits([[v.orbit_distance, v.c2, v.c3] for v in report.verdicts])
 
 
 @pytest.mark.parametrize(
@@ -352,13 +353,12 @@ def test_lemma1_rows_do_not_depend_on_the_stack(sampler, monkeypatch):
     x, y = _measured_rows(report)
     distances, angles = cartan._orbit_distance_rows(x, y)
     np.testing.assert_array_equal(
-        distances.view(np.uint64), _verdict_bits(report)[:, 0])
+        bits(distances), _verdict_bits(report)[:, 0])
     for r in range(len(x)):
         alone = special_orbit_distance(SpElement.from_array(x[r]),
                                        SpElement.from_array(y[r]))
         np.testing.assert_array_equal(
-            np.array(alone).view(np.uint64),
-            np.array([distances[r], angles[r]]).view(np.uint64))
+            bits(alone), bits([distances[r], angles[r]]))
     whole = _verdict_bits(report)
     for chunk in (1, 7, cartan._ORBIT_CHUNK):
         monkeypatch.setattr(cartan, "_ORBIT_CHUNK", chunk)
@@ -410,10 +410,31 @@ def test_theorem1_scans_carry_their_argmin_plane():
         assert scan.y == tuple(ortho.y.data.tolist())
 
 
+def test_theorem1_takes_plane_brackets_once_per_chunk(monkeypatch):
+    """The 4 metric-free brackets of each chunk of planes serve all 15
+    metrics, which add the 4 brackets of their U terms each."""
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(len(a))
+        return _bracket_rows(a, b)
+
+    monkeypatch.setattr(curvature, "_bracket_rows", spy)
+    monkeypatch.setattr(curvature._RowsRing, "br", staticmethod(spy))
+    monkeypatch.setattr(curvature, "_ROWS_CHUNK", 16)
+    report = verify_theorem1(11, n_samples=40)
+    metrics = len(report.scans) + sum(not np.isnan(k) for _, k, _ in report.frontier)
+    assert metrics == 15
+    # Chunks of 16, 16 and 8 planes; the opposite-sign check is one plane
+    # under one metric, all 8 of its brackets its own.
+    per_chunk = 4 + 4 * metrics
+    assert Counter(sizes) == {16: 2 * per_chunk, 8: per_chunk, 1: 8}
+
+
 def _nan_at_row_3(monkeypatch):
-    def with_nan(metric, x, y):
-        k = _sectional_curvature_rows(metric, x, y)
-        k[3] = np.nan
+    def with_nan(metrics, x, y):
+        k = _sectional_curvature_rows(metrics, x, y)
+        k[:, 3] = np.nan
         return k
 
     monkeypatch.setattr(experiments, "_sectional_curvature_rows", with_nan)
@@ -490,9 +511,9 @@ def test_wilking_suite_certificates_by_scalar_route(seed):
         _scalar_recheck(triple.as_metric(), cert)
 
 
-def _bits(cert):
-    return np.array([*cert.x, *cert.z, *cert.y, cert.k_value,
-                     cert.numerator_value, cert.smallest_eigenvalue]).view(np.uint64)
+def _cert_bits(cert):
+    return bits([*cert.x, *cert.z, *cert.y, cert.k_value,
+                 cert.numerator_value, cert.smallest_eigenvalue])
 
 
 def test_wilking_rows_do_not_depend_on_the_stack():
@@ -508,7 +529,7 @@ def test_wilking_rows_do_not_depend_on_the_stack():
         cert = wilking_pair(metric)
         if i == 532 or i % 7 == 0:
             suite = report.certificates[i]
-            np.testing.assert_array_equal(_bits(cert), _bits(suite))
+            np.testing.assert_array_equal(_cert_bits(cert), _cert_bits(suite))
             assert cert.case_tag == suite.case_tag
         if not verify_wilking_inequalities(metric, cert):
             alone.append(i)
@@ -575,9 +596,9 @@ def _suite_rows(monkeypatch, suite, *args):
     seen = []
     real = experiments._sectional_curvature_rows
 
-    def spy(metric, x, y):
+    def spy(metrics, x, y):
         seen.append((x, y))
-        return real(metric, x, y)
+        return real(metrics, x, y)
 
     monkeypatch.setattr(experiments, "_sectional_curvature_rows", spy)
     suite(*args)
@@ -608,12 +629,12 @@ def test_suites_orthonormalize_rows_as_tangent_plane_does(seed, monkeypatch):
         "baseline": _suite_rows(monkeypatch, run_baseline_suite, seed, n),
     }
     for name, planes in expected.items():
-        want_x = np.array([p.x.data for p in planes]).view(np.uint64)
-        want_y = np.array([p.y.data for p in planes]).view(np.uint64)
+        want_x = bits([p.x.data for p in planes])
+        want_y = bits([p.y.data for p in planes])
         assert scans[name]
         for x, y in scans[name]:
-            np.testing.assert_array_equal(x.view(np.uint64), want_x)
-            np.testing.assert_array_equal(y.view(np.uint64), want_y)
+            np.testing.assert_array_equal(bits(x), want_x)
+            np.testing.assert_array_equal(bits(y), want_y)
 
 
 def test_baseline_fails_on_nan_curvature(monkeypatch):

@@ -14,6 +14,8 @@ from sp2curv import cartan
 from sp2curv.curvature import _rows_dot
 from sp2curv.experiments import sample_commuting_plane
 
+from conftest import bits
+
 GRID = np.linspace(0.0, math.pi, 65)[:-1]
 
 
@@ -77,10 +79,8 @@ def test_screen_gives_the_full_scan_bits(seed, n, kwargs):
     x, y = _measured(seed, range(n), **kwargs)
     want_d, want_a, rows, cos, sin, dists = _full_scan(x, y)
     got_d, got_a = cartan._orbit_distance_rows(x, y)
-    np.testing.assert_array_equal(got_d.view(np.uint64),
-                                  want_d.view(np.uint64))
-    np.testing.assert_array_equal(got_a.view(np.uint64),
-                                  want_a.view(np.uint64))
+    np.testing.assert_array_equal(bits(got_d), bits(want_d))
+    np.testing.assert_array_equal(bits(got_a), bits(want_a))
     # The screen reads every kept candidate to a tenth of its margin.
     screened = cartan._orbit_screen(rows, cos, sin)
     margin = cartan._ORBIT_SCREEN_MARGIN
@@ -96,8 +96,7 @@ def test_screen_keeps_the_exact_angle_of_a_plane_on_the_orbit():
     want_d, want_a = _full_scan(x, y)[:2]
     got_d, got_a = cartan._orbit_distance_rows(x, y)
     assert got_d[0] <= 1e-8
-    np.testing.assert_array_equal(np.array([got_d, got_a]).view(np.uint64),
-                                  np.array([want_d, want_a]).view(np.uint64))
+    np.testing.assert_array_equal(bits([got_d, got_a]), bits([want_d, want_a]))
 
 
 def test_a_row_the_screen_cannot_read_keeps_every_candidate(monkeypatch):
@@ -112,5 +111,4 @@ def test_a_row_the_screen_cannot_read_keeps_every_candidate(monkeypatch):
     monkeypatch.setattr(cartan, "_orbit_screen", unreadable)
     want_d, want_a = _full_scan(x, y)[:2]
     got_d, got_a = cartan._orbit_distance_rows(x, y)
-    np.testing.assert_array_equal(np.array([got_d, got_a]).view(np.uint64),
-                                  np.array([want_d, want_a]).view(np.uint64))
+    np.testing.assert_array_equal(bits([got_d, got_a]), bits([want_d, want_a]))
