@@ -19,6 +19,8 @@ The package is organized bottom-up:
 * ``cli``         -- the ``sp2curv`` command line front end.
 """
 
+import types
+
 from .algebra import (
     E1,
     E2,
@@ -73,47 +75,7 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "E1",
-    "E2",
-    "E3",
-    "CanonicalizationError",
-    "CartanClassification",
-    "CurvatureReport",
-    "DeformedMetric",
-    "MetricDeformation",
-    "SpElement",
-    "TangentPlane",
-    "__version__",
-    "ad_h",
-    "bi_inner",
-    "bi_inner_trace_form",
-    "bracket",
-    "bracket_oracle",
-    "canonicalize",
-    "centralizer_in_m",
-    "classify_plane",
-    "is_commuting_pair",
-    "measure_sigma",
-    "norm",
-    "numerator",
-    "numerator_jet",
-    "random_admissible_metric",
-    "random_deformation",
-    "reference_deformation",
-    "run_baseline_suite",
-    "run_lemma0_suite",
-    "run_oracle_suite",
-    "sample_cartan",
-    "sample_commuting_plane",
-    "second_derivative_closed_form",
-    "sectional_curvature",
-    "special_orbit_distance",
-    "special_plane",
-    "u_tensor",
-    "verify_lemma1",
-    "verify_theorem1",
-    "verify_wilking",
-    "verify_wilking_inequalities",
-    "wilking_pair",
-]
+# Every name imported above is exported, so that each is written once.
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType))]

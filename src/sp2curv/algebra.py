@@ -107,6 +107,16 @@ class SpElement:
         return f"SpElement(lam={d[0]!r}, u={d[1:4]!r}, v={d[4:7]!r}, w={d[7:10]!r})"
 
 
+def _pair(rows) -> tuple:
+    """from_array of both rows of a fresh (2, 10) array, or of two rows of
+    10 floats, without the copies: the elements share its data, read-only."""
+    rows = np.asarray(rows, dtype=float)
+    rows.setflags(write=False)
+    x, y = object.__new__(SpElement), object.__new__(SpElement)
+    x.data, y.data = rows[0], rows[1]
+    return x, y
+
+
 # ---- coordinate bracket (fast path) ----
 
 
@@ -211,7 +221,7 @@ def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a 1-D array, bit for bit: the same dot of the
     same contiguous data, without the wrapper's call cost."""
     v = v.ravel()
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def norm(x: SpElement) -> float:
@@ -219,21 +229,26 @@ def norm(x: SpElement) -> float:
     return _norm(x.data)
 
 
-def _ad_h_arr(angle: float, a: np.ndarray) -> np.ndarray:
-    """ad_h's rotation of a (..., 10) array, row by row, on floats: the
-    roundings of numpy's elementwise steps without their call cost."""
+def _ad_h_rows(angle: float, rows) -> list:
+    """ad_h's rotation of rows of 10 floats, on floats: the roundings of
+    numpy's elementwise steps (zeros and their signs included) without
+    their call cost."""
     c = math.cos(2.0 * angle)
     s = math.sin(2.0 * angle)
-    rows = [(lam, u1, u2, u3, c * v1 + s * w1, c * v2 + s * w2, c * v3 + s * w3,
-             -s * v1 + c * w1, -s * v2 + c * w2, -s * v3 + c * w3)
-            for lam, u1, u2, u3, v1, v2, v3, w1, w2, w3 in a.reshape(-1, 10).tolist()]
-    return np.array(rows).reshape(a.shape)
+    return [[lam, u1, u2, u3, c * v1 + s * w1, c * v2 + s * w2, c * v3 + s * w3,
+             -s * v1 + c * w1, -s * v2 + c * w2, -s * v3 + c * w3]
+            for lam, u1, u2, u3, v1, v2, v3, w1, w2, w3 in rows]
 
 
-def _cross(a, b) -> np.ndarray:
-    """np.cross of two 3-vectors, term for term, without its call cost."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _ad_h_arr(angle: float, a: np.ndarray) -> np.ndarray:
+    """ad_h's rotation of a (..., 10) array, row by row, on floats."""
+    return np.array(_ad_h_rows(angle, a.reshape(-1, 10).tolist())).reshape(a.shape)
+
+
+def _cross(a, b) -> list:
+    """np.cross of two 3-vectors of floats, term for term, as a list."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def ad_h(angle: float, x: SpElement) -> SpElement:

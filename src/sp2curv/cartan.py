@@ -26,9 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _BR_I, _BR_J, _BR_SIGN, SpElement, _ad_h_arr, _cross, _norm
+from .algebra import (_BR_I, _BR_J, _BR_SIGN, SpElement, _ad_h_arr, _ad_h_rows,
+                      _cross, _norm, _pair)
 from .curvature import _rows_dot, is_commuting_pair
-from .metric import _uniform, as_generator
+from .metric import as_generator
 
 __all__ = [
     "centralizer_in_m",
@@ -64,12 +65,13 @@ def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
     from the singular values below tol times the largest one.
     """
     terms = x.data[_BR_I][..., None] * _M_BASIS_BRACKET
+    matrix = terms[0]
     for term in terms[1:]:
-        terms[0] += term
-    _, svals, vt = np.linalg.svd(terms[0])
+        matrix += term
+    _, svals, vt = np.linalg.svd(matrix)
+    svals = svals.tolist()
     cutoff = tol * (svals[0] if svals[0] > 0.0 else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    null9 = vt[rank:]
+    null9 = vt[sum(s > cutoff for s in svals):]
     out = np.zeros((null9.shape[0], 10))
     out[:, 1:] = null9
     return out
@@ -96,9 +98,9 @@ class CartanClassification(NamedTuple):
     witness_matrix: np.ndarray
 
     def reconstruct(self) -> tuple:
-        rows = _ad_h_arr(self.witness_angle, self.witness_matrix @ np.array(
-            [self.canonical_x.data, self.canonical_y.data]))
-        return SpElement.from_array(rows[0]), SpElement.from_array(rows[1])
+        rows = self.witness_matrix @ np.array(
+            [self.canonical_x.data, self.canonical_y.data])
+        return _pair(_ad_h_rows(self.witness_angle, rows.tolist()))
 
 
 class _Reduction:
@@ -208,11 +210,9 @@ def _reduce_case1(red: _Reduction) -> tuple:
     plane, the zeros of the vector quadratic v(Z) x w(Z); once ordered by
     their common R^3 direction they rotate and rescale onto the F1 pair.
     """
-    v1, v2 = red.vs()
-    w1, w2 = red.ws()
-    coeffs = np.array(
-        [_cross(v1, w1), _cross(v1, w2) + _cross(v2, w1), _cross(v2, w2)]
-    )
+    (v1, v2), (w1, w2) = red.vs().tolist(), red.ws().tolist()
+    mixed = [a + b for a, b in zip(_cross(v1, w2), _cross(v2, w1))]
+    coeffs = np.array([_cross(v1, w1), mixed, _cross(v2, w2)])
     u_svd, svals, _ = np.linalg.svd(coeffs)
     _check(svals[0] > 1e-10, "vanishing alignment quadratic")
     _check(svals[1] <= _RESIDUAL_TOL * svals[0], "alignment quadratic not rank one")
@@ -666,15 +666,27 @@ class PlaneSample(NamedTuple):
     gl2: np.ndarray
 
 
-def _random_unit(rng: np.random.Generator, to=None) -> np.ndarray:
-    """A random unit 3-vector, orthogonal to the unit vector to if given."""
+def _random_unit(rng: np.random.Generator, to=None) -> list:
+    """A random unit 3-vector, orthogonal to the unit vector to if given.
+
+    The projection and the division run on floats; the dots stay BLAS's."""
     while True:
         vec = rng.normal(size=3)
+        a, b, c = vec.tolist()
         if to is not None:
-            vec -= (vec @ to) * to
-        n = _norm(vec)
+            dot = float(vec.dot(np.array(to)))
+            a, b, c = a - dot * to[0], b - dot * to[1], c - dot * to[2]
+            vec = np.array([a, b, c])
+        n = math.sqrt(vec.dot(vec))
         if n > 1e-3:
-            return vec / n
+            return [a / n, b / n, c / n]
+
+
+def _scaled_unit(rng: np.random.Generator, low: float, high: float, to) -> list:
+    """rng.uniform(low, high) times _random_unit(rng, to), drawn in that order."""
+    scale = low + (high - low) * rng.random()
+    a, b, c = _random_unit(rng, to)
+    return [scale * a, scale * b, scale * c]
 
 
 def _random_gl2(rng: np.random.Generator) -> np.ndarray:
@@ -686,26 +698,18 @@ def _random_gl2(rng: np.random.Generator) -> np.ndarray:
             return g
 
 
-def _canonical_rows(family: str, params: dict) -> np.ndarray:
-    """The (2, 10) canonical pair of a family with these parameters."""
-    rows = np.zeros((2, 10))
+def _canonical_rows(family: str, params: dict) -> list:
+    """The canonical pair of a family F1-F4 with these parameters, as two
+    rows of 10 coordinates."""
+    zero = (0.0, 0.0, 0.0)
     if family == "F1":
-        rows[0, 4:7] = params["v"]
-        rows[1, 7:10] = params["w"]
-    elif family == "F2":
-        rows[0, 1:4] = params["u"]
-        rows[0, 7:10] = params["w"]
-        rows[1, 4:7] = params["u"]
-    elif family in ("F3", "F4"):
-        rows[0, 1:4] = params["u"]
-        rows[0, 4:7] = params["p"]
-        rows[1, 1:4] = params["p"]
-        rows[1, 4:7] = params["u"]
-        if family == "F4":
-            rows[1, 7:10] = params["mu"] * params["u"]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return rows
+        return [[0.0, *zero, *params["v"], *zero], [0.0, *zero, *zero, *params["w"]]]
+    if family == "F2":
+        u = params["u"]
+        return [[0.0, *u, *zero, *params["w"]], [0.0, *zero, *u, *zero]]
+    u, p = params["u"], params["p"]
+    mu_u = [params["mu"] * a for a in u] if family == "F4" else zero
+    return [[0.0, *u, *p, *zero], [0.0, *p, *u, *mu_u]]
 
 
 def sample_cartan(family: str, rng) -> PlaneSample:
@@ -714,39 +718,25 @@ def sample_cartan(family: str, rng) -> PlaneSample:
     Canonical parameters are drawn from bounded ranges, then hidden behind
     a random rotation and a random invertible recombination.
     """
-    rng = as_generator(rng)
-    if family == "F1":
-        v = _random_unit(rng)
-        params = {"v": v, "w": _random_unit(rng, v)}
-    elif family == "F2":
-        u = _random_unit(rng)
-        if rng.random() < 0.15:
-            w = np.zeros(3)
-        else:
-            w = _uniform(rng, 0.2, 2.0) * _random_unit(rng, u)
-        params = {"u": u, "w": w}
-    elif family == "F3":
-        u = _random_unit(rng)
-        params = {"u": u, "p": _uniform(rng, 0.25, 1.0) * _random_unit(rng, u)}
-    elif family == "F4":
-        u = _random_unit(rng)
-        params = {
-            "u": u,
-            "p": _uniform(rng, 0.3, 1.0) * _random_unit(rng, u),
-            # rng.integers(2) is the draw rng.choice([-1.0, 1.0]) makes.
-            "mu": (-1.0, 1.0)[rng.integers(2)] * _uniform(rng, 0.2, 2.0),
-        }
-    else:
+    if family not in ("F1", "F2", "F3", "F4"):
         raise ValueError(f"unknown family {family!r}")
+    rng = as_generator(rng)
+    u = _random_unit(rng)
+    if family == "F1":
+        params = {"v": u, "w": _random_unit(rng, u)}
+    elif family == "F2":
+        zero = rng.random() < 0.15
+        params = {"u": u, "w": [0.0] * 3 if zero else _scaled_unit(rng, 0.2, 2.0, u)}
+    else:
+        params = {"u": u, "p": _scaled_unit(rng, 0.25 if family == "F3" else 0.3, 1.0, u)}
+    if family == "F4":
+        # rng.integers(2) is the draw rng.choice([-1.0, 1.0]) makes.
+        params["mu"] = (-1.0, 1.0)[rng.integers(2)] * (0.2 + (2.0 - 0.2) * rng.random())
 
-    angle = _uniform(rng, 0.0, math.pi)
+    angle = math.pi * rng.random()  # rng.uniform(0, pi): 0.0 + pi r is pi r
     gl2 = _random_gl2(rng)
-    rows = gl2 @ _ad_h_arr(angle, _canonical_rows(family, params))
-    return PlaneSample(
-        x=SpElement.from_array(rows[0]),
-        y=SpElement.from_array(rows[1]),
-        family=family,
-        parameters=params,
-        angle=angle,
-        gl2=gl2,
-    )
+    # The rotation runs on floats; gl2 @ rows stays BLAS's, whose fused
+    # multiply-adds no float expression reproduces.
+    rows = gl2.dot(np.array(_ad_h_rows(angle, _canonical_rows(family, params))))
+    params = {k: v if k == "mu" else np.array(v) for k, v in params.items()}
+    return PlaneSample(*_pair(rows), family, params, angle, gl2)

@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -366,11 +367,19 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_t_list(text: str):
+def _finite(text: str) -> float:
+    """A float argument that is neither NaN nor infinite."""
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t list {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_t_list(text: str):
+    values = tuple(_finite(p) for p in text.split(",") if p.strip())
     if not values:
         raise argparse.ArgumentTypeError("empty t list")
     return values
@@ -381,7 +390,7 @@ def _common(sp, samples):
                     help="base seed for all sample streams")
     sp.add_argument("--samples", type=int, default=samples,
                     help=f"number of samples (default {samples})")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_finite, default=None,
                     help="override the main tolerance of this command")
     sp.add_argument("--format", dest="fmt",
                     choices=("json", "csv", "text"), default="json")
@@ -391,10 +400,11 @@ def _common(sp, samples):
 
 def _lemma1_arguments(p):
     _common(p, 10000)
-    p.add_argument("--family", choices=("F1", "F2", "F3", "F4"), default=None,
-                   help="restrict sampling to one canonical family")
-    p.add_argument("--adversarial", action="store_true",
-                   help="sample only orbit-adjacent planes")
+    draw = p.add_mutually_exclusive_group()
+    draw.add_argument("--family", choices=("F1", "F2", "F3", "F4"), default=None,
+                      help="restrict sampling to one canonical family")
+    draw.add_argument("--adversarial", action="store_true",
+                      help="sample only orbit-adjacent planes")
 
 
 def _theorem1_arguments(p):
@@ -407,7 +417,7 @@ def _theorem1_arguments(p):
 def _classify_arguments(p):
     p.add_argument("x", help="first spanning vector, comma separated reals")
     p.add_argument("y", help="second spanning vector, comma separated reals")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_finite, default=None,
                    help="distinguished orbit distance threshold")
     p.add_argument("--format", dest="fmt",
                    choices=("json", "csv", "text"), default="json")

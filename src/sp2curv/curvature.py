@@ -74,11 +74,11 @@ class TangentPlane:
     def __init__(self, x: SpElement, y: SpElement):
         if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
             raise ValueError("plane vectors must lie in m")
-        nx = math.sqrt(x.data @ x.data)
-        ny = math.sqrt(y.data @ y.data)
+        nx = math.sqrt(x.data.dot(x.data))
+        ny = math.sqrt(y.data.dot(y.data))
         if nx == 0.0 or ny == 0.0:
             raise ValueError("plane vectors must be nonzero")
-        cosine = float(x.data @ y.data) / (nx * ny)
+        cosine = float(x.data.dot(y.data)) / (nx * ny)
         if 1.0 - cosine * cosine <= 1e-12:
             raise ValueError("plane vectors are linearly dependent")
         self.x = x
@@ -86,9 +86,9 @@ class TangentPlane:
 
     def orthonormalized(self) -> "TangentPlane":
         """Gram-Schmidt in the bi-invariant product, x direction first."""
-        a = self.x.data / math.sqrt(self.x.data @ self.x.data)
-        b = self.y.data - (self.y.data @ a) * a
-        b = b / math.sqrt(b @ b)
+        a = self.x.data / math.sqrt(self.x.data.dot(self.x.data))
+        b = self.y.data - self.y.data.dot(a) * a
+        b = b / math.sqrt(b.dot(b))
         return TangentPlane(SpElement.from_array(a), SpElement.from_array(b))
 
     def __repr__(self) -> str:
@@ -254,10 +254,12 @@ class _RowsRing:
 # _numerator_jet_rows; neither changes a value.  With stacked matmuls a
 # 10k-plane fixed-t scan took 36-47 ms in chunks of 256, 38-59 ms at 512
 # and 33-62 ms at 1024 (fastest and median of nine, two sweeps), so 256
-# stays.  The jets of 10k planes took 161-166 ms at 256 and 150-154 ms
-# at 1024.
+# stays.  With the signed-gather bracket the jets of run_lemma0_suite(0,
+# 10000) took 90-114 ms at 256, 87-100 ms at 512 and 90-111 ms at 1024
+# (fastest and median of 7 and of 15 interleaved rounds), and the suite
+# peaked at 4.5, 6.4 and 10.2 MiB under tracemalloc, so 512.
 _ROWS_CHUNK = 256
-_JET_CHUNK = 1024
+_JET_CHUNK = 512
 
 
 def _metric_ring(m: DeformedMetric) -> _RowsRing:

@@ -31,11 +31,12 @@ from .algebra import (
     E1,
     E2,
     SpElement,
-    _ad_h_arr,
+    _ad_h_rows,
     _bracket_list,
     _bracket_rows,
     _cross,
     _norm,
+    _pair,
     from_matrix,
     to_matrix,
 )
@@ -125,6 +126,7 @@ _LOG_SCALES = (float(np.log10(_ADVERSARIAL_MIN_SCALE)),
 _T0 = np.zeros((2, 10))
 _T0[0, 4:7] = E1
 _T0[1, 7:10] = E2
+_E1, _E2 = E1.tolist(), E2.tolist()
 
 
 def special_plane() -> TangentPlane:
@@ -227,8 +229,10 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / _norm(v)
+def _unit(vec: list) -> list:
+    """vec / |vec| on floats, the norm a BLAS dot as np.linalg.norm takes it."""
+    n = _norm(np.array(vec))
+    return [a / n for a in vec]
 
 
 def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
@@ -241,12 +245,15 @@ def _adversarial_transverse(rng) -> tuple[SpElement, SpElement]:
     generic side of the dichotomy.
     """
     delta = 10.0 ** _uniform(rng, *_LOG_SCALES)
-    d1 = _unit(_cross(E1, rng.normal(size=3)))
-    v = _unit(E1 + delta * d1)
-    d2 = _cross(E2, rng.normal(size=3))
-    d2 = _unit(d2 - np.dot(d2, v) * v)
-    w = _unit(E2 - np.dot(E2, v) * v + delta * d2)
-    return SpElement(0.0, 0.0, v, 0.0), SpElement(0.0, 0.0, 0.0, w)
+    d1 = _unit(_cross(_E1, rng.normal(size=3).tolist()))
+    v = _unit([e + delta * a for e, a in zip(_E1, d1)])
+    d2 = _cross(_E2, rng.normal(size=3).tolist())
+    v_arr = np.array(v)
+    dot = float(np.array(d2).dot(v_arr))
+    d2 = _unit([a - dot * b for a, b in zip(d2, v)])
+    dot = float(E2.dot(v_arr))
+    w = _unit([e - dot * a + delta * b for e, a, b in zip(_E2, v, d2)])
+    return _pair([[0.0] * 4 + v + [0.0] * 3, [0.0] * 7 + w])
 
 
 def _adversarial_centralizer(rng) -> tuple[SpElement, SpElement]:
@@ -261,25 +268,33 @@ def _adversarial_centralizer(rng) -> tuple[SpElement, SpElement]:
     """
     delta = 10.0 ** _uniform(rng, *_LOG_SCALES)
     while True:
-        r = _unit(rng.normal(size=3))
-        if _norm(r - np.dot(r, E1) * E1) >= _TRANSVERSE_FLOOR:
+        r = _unit(rng.normal(size=3).tolist())
+        dot = float(np.array(r).dot(E1))
+        if _norm(np.array([a - dot * e for a, e in zip(r, _E1)])) >= _TRANSVERSE_FLOOR:
             break
-    x = SpElement(0.0, 0.0, _unit(E1 + delta * r), 0.0)
+    x_row = [0.0] * 4 + _unit([e + delta * a for e, a in zip(_E1, r)]) + [0.0] * 3
+    x = SpElement.from_array(x_row)
     basis = centralizer_in_m(x)
-    y = basis.T @ (basis @ _T0[1])
-    y -= np.dot(y, x.data) * x.data / float(np.dot(x.data, x.data))
-    return x, SpElement.from_array(_unit(y))
+    y = basis.T.dot(basis.dot(_T0[1]))
+    dot, nn = float(y.dot(x.data)), float(x.data.dot(x.data))
+    y = _unit([a - dot * b / nn for a, b in zip(y.tolist(), x_row)])
+    return x, SpElement.from_array(y)
 
 
 def _adversarial_on_orbit(rng) -> tuple[SpElement, SpElement]:
     """An exact point of the distinguished orbit, in disguised basis."""
-    rows = _ad_h_arr(_uniform(rng, 0.0, np.pi), _T0)
+    rows = np.array(_ad_h_rows(_uniform(rng, 0.0, np.pi), _T0.tolist()))
     while True:
         g = _uniform(rng, -1.0, 1.0, (2, 2))
         if abs(np.linalg.det(g)) > 0.2:
             break
-    mixed = g @ rows
-    return SpElement.from_array(mixed[0]), SpElement.from_array(mixed[1])
+    return _pair(g.dot(rows))
+
+
+# The adversarial kinds in the order the default mix cycles them.
+_ADVERSARIAL = (("transverse", _adversarial_transverse),
+                ("centralizer", _adversarial_centralizer),
+                ("on_orbit", _adversarial_on_orbit))
 
 
 def sample_commuting_plane(seed: int, index: int, *,
@@ -291,29 +306,16 @@ def sample_commuting_plane(seed: int, index: int, *,
     draw, an adversarial sample near the distinguished orbit.  ``kind``
     is ``uniform``, ``transverse``, ``centralizer`` or ``on_orbit``.
     Passing ``family`` restricts to that family; ``adversarial_only``
-    draws only orbit-adjacent planes.
+    draws only orbit-adjacent planes.  The two exclude each other.
     """
+    if family is not None and adversarial_only:
+        raise ValueError("family and adversarial_only exclude each other")
     rng = np.random.default_rng([seed, 1, index])
-    if family is not None:
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        s = sample_cartan(family, rng)
-        return TangentPlane(s.x, s.y), family, "uniform"
-    if adversarial_only or index % 5 == 4:
-        sub = (index // 5) % 3
-        if sub == 0:
-            x, y = _adversarial_transverse(rng)
-            kind = "transverse"
-        elif sub == 1:
-            x, y = _adversarial_centralizer(rng)
-            kind = "centralizer"
-        else:
-            x, y = _adversarial_on_orbit(rng)
-            kind = "on_orbit"
-        return TangentPlane(x, y), "F1", kind
-    label = _FAMILIES[index % 5]
-    s = sample_cartan(label, rng)
-    return TangentPlane(s.x, s.y), label, "uniform"
+    if family is None and (adversarial_only or index % 5 == 4):
+        kind, draw = _ADVERSARIAL[(index // 5) % 3]
+        return TangentPlane(*draw(rng)), "F1", kind
+    s = sample_cartan(family or _FAMILIES[index % 5], rng)
+    return TangentPlane(s.x, s.y), s.family, "uniform"
 
 
 # ---------------------------------------------------------------------------

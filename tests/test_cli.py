@@ -110,6 +110,47 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--samples", "5"],
+    ["lemma1", "--samples", "5"],
+    ["theorem1", "--samples", "5"],
+    ["wilking", "--samples", "5"],
+    ["classify", T0_X, T0_Y],
+], ids=lambda argv: argv[0])
+def test_non_finite_tol_is_usage_error(capsys, argv, value):
+    # An infinite tolerance passed every Wilking certificate; a NaN one
+    # labelled every lemma1 plane a violation.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={value}"])
+    assert exc.value.code == 2
+    assert "--tol: not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_values", NON_FINITE + ["0.001,nan", "inf,0.01"])
+def test_theorem1_rejects_non_finite_t(capsys, monkeypatch, t_values):
+    def unreachable(*args):
+        raise AssertionError("sampled a plane before rejecting t")
+
+    monkeypatch.setattr(experiments, "sample_commuting_plane", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", f"--t={t_values}"])
+    assert exc.value.code == 2
+    assert "--t: not a finite number" in capsys.readouterr().err
+
+
+def test_lemma1_family_and_adversarial_are_usage_error(capsys):
+    # --adversarial was dropped without a word, its report saying
+    # config.adversarial true over uniform planes only.
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma1", "--samples", "10", "--family", "F2", "--adversarial"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, suite, keyword", [
     (["oracle", "--samples", "50"], experiments.run_oracle_suite, "tol"),
     (["lemma1", "--samples", "20"], experiments.verify_lemma1, "c2_tol"),

@@ -174,6 +174,15 @@ def test_sample_commuting_plane_adversarial_only():
     assert kinds == {"transverse", "centralizer", "on_orbit"}
 
 
+@pytest.mark.parametrize("family", ["F1", "F2", "F4"])
+def test_family_and_adversarial_only_exclude_each_other(family):
+    # A family draw would drop adversarial_only without a word.
+    with pytest.raises(ValueError, match="exclude each other"):
+        sample_commuting_plane(6, 4, family=family, adversarial_only=True)
+    with pytest.raises(ValueError, match="exclude each other"):
+        verify_lemma1(6, 5, family=family, adversarial_only=True)
+
+
 # ---- classification ----
 
 
