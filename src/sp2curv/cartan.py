@@ -11,12 +11,15 @@ one of four canonical families:
 
 The reduction is constructive: it returns the canonical pair together with
 a witness (an angle and a 2x2 matrix) that maps the canonical pair back to
-the input pair exactly, and it verifies that reconstruction before
-returning.  The case split is driven by the rank of the u-parts and, when
-that rank is 2, by the in-plane quadratic det[v(Z) | w(Z)] over elements Z
-of the plane: identically zero for F3, a pair of distinct root directions
-for F4.  Orderings and signs are fixed by rotation-invariant data only, so
-any basis of any rotation of a plane reduces to the same canonical pair.
+the input pair exactly.  It runs in one pass, and the check of that
+reconstruction is its only verdict: the guards on the way protect
+divisions, normalizations, rank and branch decisions and the returned
+parameters, not the shape of intermediate rows.  The case split is driven
+by the rank of the u-parts and, when that rank is 2, by the in-plane
+quadratic det[v(Z) | w(Z)] over elements Z of the plane: identically zero
+for F3, a pair of distinct root directions for F4.  Orderings and signs
+are fixed by rotation-invariant data only, so any basis of any rotation of
+a plane reduces to the same canonical pair.
 """
 
 from __future__ import annotations
@@ -43,11 +46,6 @@ __all__ = [
 ]
 
 SPECIAL_ORBIT_TOL = 1e-8
-
-# Pre-rotation angles tried in turn when a reduction hits a numerically
-# degenerate configuration; the first angle keeps canonical inputs on the
-# identity path.
-_RETRY_ANGLES = (0.0, 0.37, 0.71, 1.13, 1.57, 2.03)
 
 _RANK_TOL = 1e-8
 _RESIDUAL_TOL = 1e-7
@@ -78,11 +76,8 @@ def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
 
 
 class CanonicalizationError(RuntimeError):
-    """The reduction could not complete within tolerance at any entry angle."""
-
-
-class _ReductionFailed(Exception):
-    """Internal: numerically degenerate configuration, retry at another angle."""
+    """A guard of the reduction, named in the message, met a degenerate
+    configuration, or the witness does not reconstruct the input."""
 
 
 class CartanClassification(NamedTuple):
@@ -147,8 +142,7 @@ def _first_nonzero_sign(vec: np.ndarray, tol: float = 1e-8) -> float:
 
 def _normalize_direction(vec: np.ndarray) -> np.ndarray:
     n = _norm(vec)
-    if n <= 1e-12:
-        raise _ReductionFailed("zero direction")
+    _check(n > 1e-12, "zero direction")
     out = vec / n
     return out * _first_nonzero_sign(out)
 
@@ -170,8 +164,8 @@ def _quadratic_roots(qa: float, qb: float, qc: float) -> np.ndarray:
     m = np.array([[qa, 0.5 * qb], [0.5 * qb, qc]])
     scale = float(np.abs(m).max())
     evals, evecs = np.linalg.eigh(m)
-    if not (evals[0] < -1e-10 * scale and evals[1] > 1e-10 * scale):
-        raise _ReductionFailed("quadratic is not indefinite")
+    _check(evals[0] < -1e-10 * scale and evals[1] > 1e-10 * scale,
+           "quadratic is not indefinite")
     r_plus = math.sqrt(evals[1]) * evecs[:, 0] + math.sqrt(-evals[0]) * evecs[:, 1]
     r_minus = math.sqrt(evals[1]) * evecs[:, 0] - math.sqrt(-evals[0]) * evecs[:, 1]
     return np.array([r_plus / _norm(r_plus), r_minus / _norm(r_minus)])
@@ -185,10 +179,6 @@ def _aligned_direction(row: np.ndarray) -> np.ndarray:
     return _normalize_direction(pick)
 
 
-def _parallel_residual(vec: np.ndarray, direction: np.ndarray) -> float:
-    return _norm(vec - (vec @ direction) * direction)
-
-
 def _pq_needs_flip(p: float, q: float) -> bool:
     """Sign convention for an aligned element against its direction.
 
@@ -200,7 +190,20 @@ def _pq_needs_flip(p: float, q: float) -> bool:
 
 def _check(cond: bool, label: str) -> None:
     if not cond:
-        raise _ReductionFailed(label)
+        raise CanonicalizationError(f"reduction failed: {label}")
+
+
+def _orient(red: _Reduction, u_dir: np.ndarray, second: np.ndarray) -> tuple:
+    """Sign u and the second direction by their first nonzero entries: u
+    by negating the pair, the other by a quarter turn and row two negated."""
+    if _first_nonzero_sign(u_dir) < 0.0:
+        u_dir, second = -u_dir, -second
+        red.mix(-np.eye(2))
+    if _first_nonzero_sign(second) < 0.0:
+        second = -second
+        red.rotate(0.5 * math.pi)
+        red.mix(np.diag([1.0, -1.0]))
+    return u_dir, second
 
 
 def _reduce_case1(red: _Reduction) -> tuple:
@@ -215,7 +218,6 @@ def _reduce_case1(red: _Reduction) -> tuple:
     coeffs = np.array([_cross(v1, w1), mixed, _cross(v2, w2)])
     u_svd, svals, _ = np.linalg.svd(coeffs)
     _check(svals[0] > 1e-10, "vanishing alignment quadratic")
-    _check(svals[1] <= _RESIDUAL_TOL * svals[0], "alignment quadratic not rank one")
     roots = _quadratic_roots(*u_svd[:, 0])
 
     aligned = roots @ red.rows
@@ -241,11 +243,8 @@ def _reduce_case1(red: _Reduction) -> tuple:
 
     r1 = float(red.vs()[0] @ m1)
     _check(r1 > 1e-10, "rotation lost the first element")
-    _check(_norm(red.ws()[0]) <= _RESIDUAL_TOL, "w of first element")
-    _check(_norm(red.vs()[1]) <= _RESIDUAL_TOL, "v of second element")
     q2 = float(red.ws()[1] @ m2)
     _check(abs(q2) > 1e-10, "second aligned element vanishes")
-    _check(_parallel_residual(red.ws()[1], m2) <= _RESIDUAL_TOL, "second element drift")
     red.mix(np.diag([1.0 / r1, 1.0 / q2]))
 
     return "F1", {"v": m1, "w": m2}
@@ -253,9 +252,7 @@ def _reduce_case1(red: _Reduction) -> tuple:
 
 def _reduce_case2(red: _Reduction) -> tuple:
     """u-parts have rank one: the plane recombines onto an F2 pair."""
-    u_svd, svals, _ = np.linalg.svd(red.us())
-    red.mix(u_svd.T)
-    _check(_norm(red.us()[1]) <= _RESIDUAL_TOL, "second u-part")
+    red.mix(np.linalg.svd(red.us())[0].T)
     n1 = _norm(red.us()[0])
     _check(n1 > 1e-10, "first u-part vanishes")
     red.mix(np.diag([1.0 / n1, 1.0]))
@@ -263,8 +260,6 @@ def _reduce_case2(red: _Reduction) -> tuple:
 
     # With the u-parts split off, the commuting constraints force the whole
     # second row onto the u direction.
-    _check(_parallel_residual(red.vs()[1], u_dir) <= _RESIDUAL_TOL, "second row v")
-    _check(_parallel_residual(red.ws()[1], u_dir) <= _RESIDUAL_TOL, "second row w")
     p = float(red.vs()[1] @ u_dir)
     q = float(red.ws()[1] @ u_dir)
     r = math.hypot(p, q)
@@ -278,21 +273,12 @@ def _reduce_case2(red: _Reduction) -> tuple:
     red.mix(np.diag([1.0, 1.0 / r]))
 
     # And the first row may keep only a v-part along u, removable by a shear.
-    _check(_parallel_residual(red.vs()[0], u_dir) <= _RESIDUAL_TOL, "first row v")
-    _check(abs(float(red.ws()[0] @ u_dir)) <= _RESIDUAL_TOL, "first row w")
     xi = float(red.vs()[0] @ u_dir)
     red.mix(np.array([[1.0, -xi], [0.0, 1.0]]))
 
     w_vec = red.ws()[0].copy()
     w_vec -= (w_vec @ u_dir) * u_dir
-    if _first_nonzero_sign(u_dir) < 0.0:
-        u_dir = -u_dir
-        w_vec = -w_vec
-        red.mix(-np.eye(2))
-    if _norm(w_vec) > _RANK_TOL and _first_nonzero_sign(w_vec) < 0.0:
-        w_vec = -w_vec
-        red.rotate(0.5 * math.pi)
-        red.mix(np.diag([1.0, -1.0]))
+    u_dir, w_vec = _orient(red, u_dir, w_vec)
     if _norm(w_vec) <= _RANK_TOL:
         w_vec = np.zeros(3)
 
@@ -322,7 +308,6 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
     b_sum = float(np.sum(vs * ws))
     a_minus_c = float(np.sum(vs * vs) - np.sum(ws * ws))
     red.rotate(0.25 * math.atan2(2.0 * b_sum, a_minus_c))
-    _check(float(np.sum(red.ws() ** 2)) <= 1e-12, "w slots not removable")
 
     us, vs = red.us(), red.vs()
     # E+ solves alpha (u1 - v1) + beta (u2 - v2) = 0, E- the + version.
@@ -335,11 +320,6 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
     c_norm = _norm(c_vec)
     d_norm = _norm(d_vec)
     _check(min(c_norm, d_norm) > 1e-8, "degenerate swap eigenvectors")
-    _check(
-        _norm(e_plus[1:4] - e_plus[4:7]) <= _RESIDUAL_TOL
-        and _norm(e_minus[1:4] + e_minus[4:7]) <= _RESIDUAL_TOL,
-        "swap eigenvectors drift",
-    )
     p_dir = c_vec / c_norm
     q_dir = d_vec / d_norm
 
@@ -357,14 +337,7 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
 
     u_dir = (p_dir + q_dir) / _norm(p_dir + q_dir)
     u_perp = (p_dir - q_dir) / _norm(p_dir + q_dir)
-    if _first_nonzero_sign(u_dir) < 0.0:
-        u_dir = -u_dir
-        u_perp = -u_perp
-        red.mix(-np.eye(2))
-    if _first_nonzero_sign(u_perp) < 0.0:
-        u_perp = -u_perp
-        red.rotate(0.5 * math.pi)
-        red.mix(np.diag([1.0, -1.0]))
+    u_dir, u_perp = _orient(red, u_dir, u_perp)
     _check(abs(float(u_dir @ u_perp)) <= _RESIDUAL_TOL, "F3 directions not orthogonal")
     ell = _norm(u_perp)
     _check(1e-8 < ell <= 1.0 + 1e-9, "F3 length out of range")
@@ -404,14 +377,12 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
     q1 = float(red.ws()[0] @ m1)
     _check(math.hypot(p1, q1) > 1e-10, "first aligned element vanishes")
     red.rotate(0.5 * math.atan2(q1, p1))
-    _check(_norm(red.ws()[0]) <= _RESIDUAL_TOL, "first element w")
 
     nu = _norm(red.us()[0])
     _check(nu > 1e-10, "first element u-part")
     red.mix(np.diag([1.0 / nu, 1.0]))
     u_dir = red.us()[0] / _norm(red.us()[0])
     p_vec = red.vs()[0].copy()
-    _check(abs(float(p_vec @ u_dir)) <= _RESIDUAL_TOL, "F4 p not orthogonal")
     p_vec -= (p_vec @ u_dir) * u_dir
     p_norm = _norm(p_vec)
     _check(p_norm > 1e-8, "F4 p vanishes")
@@ -419,20 +390,9 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
     sigma = float(red.us()[1] @ p_vec) / (p_norm * p_norm)
     _check(abs(sigma) > 1e-10, "second element scale")
     red.mix(np.diag([1.0, 1.0 / sigma]))
-    _check(_norm(red.us()[1] - p_vec) <= _RESIDUAL_TOL, "row2 u")
-    _check(_norm(red.vs()[1] - u_dir) <= _RESIDUAL_TOL, "row2 v")
     mu = float(red.ws()[1] @ u_dir)
-    _check(_norm(red.ws()[1] - mu * u_dir) <= _RESIDUAL_TOL, "row2 w")
     _check(abs(mu) > 1e-8, "mu vanishes")
-
-    if _first_nonzero_sign(u_dir) < 0.0:
-        u_dir = -u_dir
-        p_vec = -p_vec
-        red.mix(-np.eye(2))
-    if _first_nonzero_sign(p_vec) < 0.0:
-        p_vec = -p_vec
-        red.rotate(0.5 * math.pi)
-        red.mix(np.diag([1.0, -1.0]))
+    u_dir, p_vec = _orient(red, u_dir, p_vec)
 
     return "F4", {"u": u_dir, "p": p_vec, "mu": mu,
                   "ell": _norm(p_vec)}
@@ -443,9 +403,6 @@ def _reduce_case3(red: _Reduction) -> tuple:
     _, svals, vt = np.linalg.svd(red.us())
     _check(svals[1] > _RANK_TOL, "u-parts lost rank two")
     b1, b2 = vt[0], vt[1]
-    for vec in (*red.vs(), *red.ws()):
-        residual = vec - (vec @ b1) * b1 - (vec @ b2) * b2
-        _check(_norm(residual) <= _RESIDUAL_TOL, "v, w leave the u-plane")
 
     def plane_coords(vec):
         return np.array([float(vec @ b1), float(vec @ b2)])
@@ -484,8 +441,9 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
     """Reduce a commuting independent pair in m to its canonical family.
 
     Raises ValueError for input outside the domain (not in m, not
-    commuting, not independent) and CanonicalizationError when no entry
-    angle yields a reduction whose witness reconstructs the input to 1e-8.
+    commuting, not independent) and CanonicalizationError when a guard of
+    the reduction meets a degenerate configuration or the witness does not
+    reconstruct the input to 1e-8 times its scale.
     """
     if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
         raise ValueError("canonical form is defined for planes inside m")
@@ -494,44 +452,26 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
     raw, seed = _orthonormalize_with_mix(x.data, y.data)
     scale = max(1.0, float(np.abs(raw).max()))
 
-    last_failure = "no attempt"
-    for angle in _RETRY_ANGLES:
-        red = _Reduction(raw, seed)
-        red.rotate(angle)
-        try:
-            u_svals = np.linalg.svd(red.us(), compute_uv=False)
-            urank = int(np.sum(u_svals > _RANK_TOL))
-            if urank == 0:
-                family, params = _reduce_case1(red)
-            elif urank == 1:
-                family, params = _reduce_case2(red)
-            else:
-                family, params = _reduce_case3(red)
-        except _ReductionFailed as failure:
-            last_failure = str(failure)
-            continue
+    red = _Reduction(raw, seed)
+    u_svals = np.linalg.svd(red.us(), compute_uv=False)
+    urank = int(np.sum(u_svals > _RANK_TOL))
+    family, params = (_reduce_case1, _reduce_case2, _reduce_case3)[urank](red)
 
-        witness_angle = -red.theta % math.pi
-        witness_matrix = np.linalg.inv(red.amat)
-        canonical = _canonical_rows(family, params)
-        result = CartanClassification(
-            family=family,
-            parameters=params,
-            canonical_x=SpElement.from_array(canonical[0]),
-            canonical_y=SpElement.from_array(canonical[1]),
-            witness_angle=witness_angle,
-            witness_matrix=witness_matrix,
-        )
-        rx, ry = result.reconstruct()
-        err = max(
-            float(np.abs(rx.data - x.data).max()), float(np.abs(ry.data - y.data).max())
-        )
-        if err <= 1e-8 * scale:
-            return result
-        last_failure = f"witness reconstruction error {err:.3e}"
-    raise CanonicalizationError(
-        f"reduction failed at every entry angle (last: {last_failure})"
+    canonical = _canonical_rows(family, params)
+    result = CartanClassification(
+        family=family,
+        parameters=params,
+        canonical_x=SpElement.from_array(canonical[0]),
+        canonical_y=SpElement.from_array(canonical[1]),
+        witness_angle=-red.theta % math.pi,
+        witness_matrix=np.linalg.inv(red.amat),
     )
+    rx, ry = result.reconstruct()
+    err = max(float(np.abs(rx.data - x.data).max()),
+              float(np.abs(ry.data - y.data).max()))
+    if not err <= 1e-8 * scale:
+        raise CanonicalizationError(f"witness reconstruction error {err:.3e}")
+    return result
 
 
 # ---- the special orbit ----

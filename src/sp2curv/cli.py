@@ -262,10 +262,6 @@ def _run_wilking(cfg):
     return results, summary, (header, rows), report.passed
 
 
-# classify's deformation, built once per process; its arrays are read-only.
-_reference_deformation = functools.cache(reference_deformation)
-
-
 def _run_classify(cfg):
     x, y = cfg.x, cfg.y
     plane = TangentPlane(x, y)
@@ -282,7 +278,7 @@ def _run_classify(cfg):
                                  "canonical_y", "witness_angle",
                                  "witness_matrix"))
         results["canonicalization_error"] = str(exc)
-    deformation = _reference_deformation()
+    deformation = reference_deformation()
     label, special, distance, c2, c3 = classify_plane(
         plane, deformation=deformation, **_tol(cfg, "orbit_tol"))
     ortho = plane.orthonormalized()
@@ -378,6 +374,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite --tol at or above 0: a negative one passes failing checks."""
+    if (value := _finite(text)) < 0.0:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 def _parse_t_list(text: str):
     values = tuple(_finite(p) for p in text.split(",") if p.strip())
     if not values:
@@ -390,7 +393,7 @@ def _common(sp, samples):
                     help="base seed for all sample streams")
     sp.add_argument("--samples", type=int, default=samples,
                     help=f"number of samples (default {samples})")
-    sp.add_argument("--tol", type=_finite, default=None,
+    sp.add_argument("--tol", type=_tolerance, default=None,
                     help="override the main tolerance of this command")
     sp.add_argument("--format", dest="fmt",
                     choices=("json", "csv", "text"), default="json")
@@ -417,7 +420,7 @@ def _theorem1_arguments(p):
 def _classify_arguments(p):
     p.add_argument("x", help="first spanning vector, comma separated reals")
     p.add_argument("y", help="second spanning vector, comma separated reals")
-    p.add_argument("--tol", type=_finite, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="distinguished orbit distance threshold")
     p.add_argument("--format", dest="fmt",
                    choices=("json", "csv", "text"), default="json")

@@ -17,6 +17,8 @@ for every such triple.  The same data shape serves two roles:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import SpElement
@@ -113,6 +115,7 @@ class MetricDeformation:
         )
 
 
+@functools.cache  # one shared object: its arrays are read-only
 def reference_deformation() -> MetricDeformation:
     """The fixed deformation driving the commuting-plane positivity results."""
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sp2curv import MetricDeformation, SpElement, reference_deformation, special_plane
+from sp2curv.algebra import _bracket_arr
 
 
 def element(lam=0.0, u=(0, 0, 0), v=(0, 0, 0), w=(0, 0, 0)) -> SpElement:
@@ -18,6 +19,29 @@ def element(lam=0.0, u=(0, 0, 0), v=(0, 0, 0), w=(0, 0, 0)) -> SpElement:
 def bits(a) -> np.ndarray:
     """The uint64 bits of float64 values, for bit-for-bit comparisons."""
     return np.asarray(a).view(np.uint64)
+
+
+def near_orbit_plane(rng, delta):
+    """The t0 rows plus delta * noise, projected onto [x, y] = 0.
+
+    Each Gauss-Newton step is the min-norm least-squares step on the
+    10x18 Jacobian of the bracket in the m coordinates of x and y, then
+    the pair is orthonormalized again (which keeps [x, y] = 0).
+    """
+    def ad(a):
+        return np.array([_bracket_arr(a, e) for e in np.eye(10)]).T
+
+    x, y = np.eye(10)[[4, 8]] + delta * rng.normal(size=(2, 10))  # v = e1, w = e2
+    x[0] = y[0] = 0.0
+    for _ in range(10):
+        jac = np.hstack([-ad(y)[:, 1:], ad(x)[:, 1:]])
+        step = np.linalg.lstsq(jac, -_bracket_arr(x, y), rcond=None)[0]
+        x[1:] += step[:9]
+        y[1:] += step[9:]
+        x /= np.linalg.norm(x)
+        y -= (y @ x) * x
+        y /= np.linalg.norm(y)
+    return x, y
 
 
 # Bounded coordinate strategy; keeps products and brackets well inside

@@ -19,7 +19,7 @@ from sp2curv import (
 from sp2curv.algebra import _bracket_rows
 from sp2curv.cartan import SPECIAL_ORBIT_TOL, _canonical_rows
 
-from conftest import bits, element
+from conftest import bits, element, near_orbit_plane
 
 FAMILIES = ("F1", "F2", "F3", "F4")
 
@@ -166,6 +166,25 @@ def test_parameters_invariant_under_rotation(family):
         rot = canonicalize(ad_h(angle, s.x), ad_h(angle, s.y))
         assert rot.family == family
         assert params_match(family, rot.parameters, base.parameters)
+
+
+# Draws of near_orbit_plane that the reduction rejected while it checked
+# intermediate rows against an absolute residual tolerance ("row2 v",
+# "row2 w"): (rng key, delta, draw indices).
+@pytest.mark.parametrize("key, delta, indices", [
+    ([77, 1], 1e-3, (58,)),
+    ([77, 2], 1e-4, (1, 3)),
+    ([77, 3], 1e-5, (0, 3)),
+])
+def test_near_orbit_planes_reduce_to_f4(key, delta, indices):
+    rng = np.random.default_rng(key)
+    draws = [near_orbit_plane(rng, delta) for _ in range(max(indices) + 1)]
+    for x, y in (draws[i] for i in indices):
+        cls = canonicalize(SpElement.from_array(x), SpElement.from_array(y))
+        assert cls.family == "F4"
+        rx, ry = cls.reconstruct()
+        scale = max(1.0, np.abs([x, y]).max())
+        assert np.abs([rx.data - x, ry.data - y]).max() <= 1e-8 * scale
 
 
 def test_canonicalize_rejects_bad_input():

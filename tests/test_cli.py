@@ -19,8 +19,10 @@ from sp2curv import (
     sectional_curvature,
 )
 from sp2curv import cli
-from sp2curv.algebra import _ad_h_arr, _bracket_arr
+from sp2curv.algebra import _ad_h_arr
 from sp2curv.cli import build_parser, main
+
+from conftest import near_orbit_plane
 
 T0_X = "0,0,0,0,1,0,0,0,0,0"
 T0_Y = "0,0,0,0,0,0,0,0,1,0"
@@ -113,7 +115,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
 NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
 
 
-@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("value", NON_FINITE + ["-1", "-1e-12"])
 @pytest.mark.parametrize("argv", [
     ["oracle", "--samples", "5"],
     ["lemma1", "--samples", "5"],
@@ -128,6 +130,17 @@ def test_non_finite_tol_is_usage_error(capsys, argv, value):
         main(argv + [f"--tol={value}"])
     assert exc.value.code == 2
     assert "--tol: not a finite number" in capsys.readouterr().err
+
+
+def test_negative_tol_cannot_pass_a_failing_theorem1(capsys):
+    # --tol -1 once passed this run, its scan marked positive at a negative
+    # min_k.
+    code, payload = run_json(capsys, ["theorem1", "--samples", "300",
+                                      "--t", "0.3"])
+    assert code == 1 and payload["passed"] is False
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "--samples", "300", "--t", "0.3", "--tol", "-1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("t_values", NON_FINITE + ["0.001,nan", "inf,0.01"])
@@ -423,36 +436,13 @@ def test_theorem1_argmin_plane_replays_through_classify(capsys):
 # ---- classify near the orbit ----
 
 
-def _near_orbit_plane(rng, delta):
-    """The t0 rows plus delta * noise, projected onto [x, y] = 0.
-
-    Each Gauss-Newton step is the min-norm least-squares step on the
-    10x18 Jacobian of the bracket in the m coordinates of x and y, then
-    the pair is orthonormalized again (which keeps [x, y] = 0).
-    """
-    def ad(a):
-        return np.array([_bracket_arr(a, e) for e in np.eye(10)]).T
-
-    x, y = np.eye(10)[[4, 8]] + delta * rng.normal(size=(2, 10))  # T0_X, T0_Y
-    x[0] = y[0] = 0.0
-    for _ in range(10):
-        jac = np.hstack([-ad(y)[:, 1:], ad(x)[:, 1:]])
-        step = np.linalg.lstsq(jac, -_bracket_arr(x, y), rcond=None)[0]
-        x[1:] += step[:9]
-        y[1:] += step[9:]
-        x /= np.linalg.norm(x)
-        y -= (y @ x) * x
-        y /= np.linalg.norm(y)
-    return x, y
-
-
 def test_classify_reports_the_jet_verdict_where_canonicalize_fails(capsys):
     # canonicalize fails on 10 of these 24 planes, none of them above 1e-4.
     failed = 0
     for k, delta in enumerate([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]):
         rng = np.random.default_rng([5, k])
         for _ in range(4):
-            x, y = _near_orbit_plane(rng, delta)
+            x, y = near_orbit_plane(rng, delta)
             argv = ["classify", cli._classify_arg(x), cli._classify_arg(y)]
             code, payload = run_json(capsys, argv)
             results = payload["results"]
@@ -505,7 +495,7 @@ def _payloads(monkeypatch, capsys, argv):
 
 
 def test_render_json_writes_the_bytes_of_the_plain_walk(monkeypatch, capsys):
-    x, y = _near_orbit_plane(np.random.default_rng([5, 5]), 1e-6)
+    x, y = near_orbit_plane(np.random.default_rng([5, 5]), 1e-6)
     payloads = [p for argv in (
         ["oracle", "--samples", "50"],
         ["lemma1", "--samples", "30", "--family", "F4"],  # null stats

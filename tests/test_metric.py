@@ -45,6 +45,12 @@ def test_reference_deformation_blocks():
     np.testing.assert_array_equal(ref.block6[3:, :3], ref.B)
 
 
+def test_reference_deformation_is_one_read_only_object():
+    ref = reference_deformation()
+    assert reference_deformation() is ref
+    assert not any(m.flags.writeable for m in (ref.A, ref.B, ref.C, ref.matrix9))
+
+
 def test_apply_frozen_examples():
     ref = reference_deformation()
     # L acts by (u, v, w) -> (Au, Cv - Bw, Bv + Cw).
