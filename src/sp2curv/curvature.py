@@ -282,11 +282,10 @@ def _curvature_rows(ring: _RowsRing, x: np.ndarray, y: np.ndarray, plane=None):
     return _six_terms(ring, x, y, mx, my, plane), s
 
 
-def _sectional_curvature_rows(metrics: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K = C / S under each metric (one row of the result each), for the
-    planes spanned by the rows of (n, 10) arrays x, y.  The metrics share
-    the metric-free brackets of each chunk of rows."""
-    rings = [_metric_ring(m) for m in metrics]
+def _sectional_curvature_rows(rings: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K = C / S under each one-metric ring (one row of the result each),
+    for the planes spanned by the rows of (n, 10) arrays x, y.  The rings
+    share the metric-free brackets of each chunk of rows."""
     k = np.empty((len(rings), len(x)))
     for lo in range(0, len(x), _ROWS_CHUNK):
         rows = slice(lo, lo + _ROWS_CHUNK)

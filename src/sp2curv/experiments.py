@@ -65,7 +65,10 @@ from .curvature import (
 from .metric import (
     DeformedMetric,
     MetricDeformation,
+    _EIG_FLOOR,
     _metric_blocks,
+    _metric_ops,
+    _require_positive,
     _uniform,
     random_admissible_metric,
     random_deformation,
@@ -139,10 +142,10 @@ def special_plane() -> TangentPlane:
 # ---------------------------------------------------------------------------
 
 
-# Pairs drawn and converted to the matrix model at once.  Larger chunks
-# save little time (1024 against 256 on a 2-core x86 box: 56-72 against
-# 70-86 ms at 1e4 pairs, 8-11 ms either way at 1,250) and hold more
-# quaternion columns in memory at once.
+# Pairs drawn and converted to the matrix model at once.  With the column
+# bracket, 512 and 1024 beat 256 alone (1,250 pairs: 3.0 and 2.7 against
+# 3.6 ms, fastest of 25 on a 2-core x86 box) but not in 20 s `fixed` runs,
+# and peak at 0.84 and 1.55 against 0.44 MiB (tracemalloc), so 256 stays.
 _ORACLE_CHUNK = 256
 
 
@@ -166,19 +169,15 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
     negative real trace form, which it must match up to one global
     constant.  The batched bracket of the curvature scans is checked
     against the same commutator, and its error counts in
-    ``max_bracket_error`` too.  The bracket under test runs pair by pair:
-    ``bracket``'s body, ``_bracket_list``, on each pair's two coordinate
-    lists.  An injected ``bracket_fn`` replaces it; it is called once per
-    pair with two ``SpElement``s and its result's ``.data`` is read, so
-    tests can inject a corrupted bracket and watch the suite fail.
+    ``max_bracket_error`` too.  The bracket under test, ``bracket``'s
+    body ``_bracket_list``, runs once per chunk on coordinate columns,
+    each entry rounding as its pair's Python floats would.  An injected
+    ``bracket_fn`` replaces it; it is called once per pair with two
+    ``SpElement``s and its result's ``.data`` is read, so tests can
+    inject a corrupted bracket and watch the suite fail.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if bracket_fn is None:
-        pair_bracket = _bracket_list
-    else:
-        def pair_bracket(a, b):
-            return bracket_fn(SpElement.from_array(a), SpElement.from_array(b)).data
     start = time.perf_counter()
 
     # The proportionality constant, factor by factor: unit vectors in
@@ -206,9 +205,16 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
         # The batched bracket of the curvature scans meets the same
         # commutator, all pairs of the chunk at once.
         rows_err = np.max(np.abs(diff - _bracket_rows(xs, ys)))
-        # The bracket under test, once per pair on its two coordinate
-        # lists, and the inner products of the pairs the trace form resolves.
-        diff -= [pair_bracket(a, b) for a, b in zip(xs.tolist(), ys.tolist())]
+        # The bracket under test (a scalar component broadcasts into its
+        # columns), and the inner products the trace form resolves.
+        if bracket_fn is None:
+            under_test = np.empty((10, len(xs)))
+            for row, component in zip(under_test, _bracket_list(xs.T, ys.T)):
+                row[...] = component
+            diff -= under_test.T
+        else:
+            diff -= [bracket_fn(SpElement.from_array(a), SpElement.from_array(b)).data
+                     for a, b in zip(xs, ys)]
         traces = xy.minus_re_trace()
         keep = np.abs(traces) > 1e-1
         ratios.extend((_rows_dot(xs, ys)[keep] / traces[keep]).tolist())
@@ -593,34 +599,32 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
         deformation = reference_deformation()
     start = time.perf_counter()
     sigma, c3 = measure_sigma(deformation)
-    # Build every requested metric before sampling, so that a t at which
-    # I + tL is not positive definite is rejected before any work.
-    metrics = [DeformedMetric(deformation, sigma * abs(float(t)))
-               for t in t_values]
+    # The requested and the frontier grid's metrics, stacked, before any
+    # sampling: a requested t that is not positive definite raises.
+    requested = [sigma * abs(float(t)) for t in t_values]
+    grid = [sigma * mag for mag in sorted(_FRONTIER_GRID)]
+    op_a, op_b6, min_eig = _metric_ops(deformation.A, deformation.block6,
+                                       np.array(requested + grid)[:, None, None])
+    for t, eig in zip(requested, min_eig):
+        _require_positive(t, eig)
+    scanned = np.flatnonzero(~(min_eig <= _EIG_FLOOR))
+    inv_a, inv_b6 = np.linalg.inv(op_a[scanned]), np.linalg.inv(op_b6[scanned])
+    rings = [_RowsRing(op_a[j][None], op_b6[j][None], inv_a[i][None], inv_b6[i][None])
+             for i, j in enumerate(scanned.tolist())]
 
     planes = [sample_commuting_plane(seed, i)[0] for i in range(n_samples)]
     x, y = _orthonormal_rows(np.array([p.x.data for p in planes]),
                              np.array([p.y.data for p in planes]))
 
-    # Empirical frontier: largest grid time at which the whole sample
-    # stays positive.  No supremum claim, just the measured extent.
-    grid = []
-    for mag in sorted(_FRONTIER_GRID):
-        t = sigma * mag
-        try:
-            grid.append((t, DeformedMetric(deformation, t)))
-        except ValueError:  # not positive definite, so not scanned
-            grid.append((t, None))
     # One scan under all metrics.  np.argmin returns the first NaN if there
     # is one, so a NaN curvature makes a scan's minimum NaN and fails it.
-    k = _sectional_curvature_rows(metrics + [m for _, m in grid if m is not None], x, y)
+    k = _sectional_curvature_rows(rings, x, y)
     argmins = np.argmin(k, axis=1).tolist()
     mins = iter(zip(k[range(len(k)), argmins].tolist(), argmins))
 
     scans = []
     ok = True
-    for metric, (min_k, argmin) in zip(metrics, mins):
-        t = metric.t
+    for t, (min_k, argmin) in zip(requested, mins):
         if t == 0.0:
             positive = abs(min_k) <= 1e-12
             over_t2 = over_t3 = 0.0
@@ -642,10 +646,12 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
                                 special_plane()).k_value
     ok = ok and k_opp < 0.0
 
+    # Empirical frontier: largest grid time at which the whole sample
+    # stays positive.  No supremum claim, just the measured extent.
     frontier = []
     frontier_t = 0.0
-    for t, metric in grid:
-        min_k = float("nan") if metric is None else next(mins)[0]
+    for t, eig in zip(grid, min_eig[len(requested):].tolist()):
+        min_k = float("nan") if eig <= _EIG_FLOOR else next(mins)[0]
         frontier.append((t, min_k, min_k > 0.0))
         if min_k > 0.0:
             frontier_t = t
@@ -765,11 +771,10 @@ def _wilking_recheck(ring: _RowsRing, x, z, y, lam, c, k, tol: float):
     return tuple(np.column_stack(np.broadcast_arrays(*side)) for side in zip(*steps))
 
 
-def _certificate(rows: tuple, i: int) -> WilkingCertificate:
-    x, z, y, k, c, lam, case = (r[i] for r in rows)
-    return WilkingCertificate(tuple(x.tolist()), tuple(z.tolist()),
-                              tuple(y.tolist()), float(k), float(c),
-                              float(lam), _WILKING_CASES[case])
+def _certificates(rows: tuple) -> list:
+    """The WilkingCertificate of every row, each array read as lists once."""
+    return [WilkingCertificate(tuple(x), tuple(z), tuple(y), k, c, lam, _WILKING_CASES[case])
+            for x, z, y, k, c, lam, case in zip(*(r.tolist() for r in rows))]
 
 
 def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
@@ -777,9 +782,9 @@ def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
 
     It is the metric's row of verify_wilking, to the bit.
     """
-    return _certificate(_wilking_rows(metric.operator_a()[None],
-                                      metric.operator_block6()[None],
-                                      _metric_ring(metric)), 0)
+    return _certificates(_wilking_rows(metric.operator_a()[None],
+                                       metric.operator_block6()[None],
+                                       _metric_ring(metric)))[0]
 
 
 def verify_wilking_inequalities(metric: DeformedMetric,
@@ -844,7 +849,7 @@ def verify_wilking(seed: int, n_metrics: int = 1000, *,
     triples = [random_admissible_metric(np.random.default_rng([seed, 3, i]))
                for i in range(n_metrics)]
     rows, residuals, bounds, ok = _wilking_verdicts(triples, tol)
-    certificates = [_certificate(rows, i) for i in range(n_metrics)]
+    certificates = _certificates(rows)
     elapsed = time.perf_counter() - start
     # np.max keeps a NaN, which the builtin max drops.
     return WilkingReport(
@@ -893,7 +898,7 @@ def run_baseline_suite(seed: int, samples: int = 10000, *,
         else:
             plane, _, _ = sample_commuting_plane(seed, i)
             x[i], y[i] = plane.x.data, plane.y.data
-    k = _sectional_curvature_rows([metric], *_orthonormal_rows(x, y))[0]
+    k = _sectional_curvature_rows([_metric_ring(metric)], *_orthonormal_rows(x, y))[0]
     # np.min and np.max keep a NaN, which the builtin min and max drop.
     min_k = float(np.min(k))
     max_comm = float(np.max(np.abs(k[1::2]), initial=0.0))

@@ -34,10 +34,15 @@ __all__ = [
 
 _EIG_FLOOR = 1e-9  # smallest eigenvalue a positive definite block may have
 _SHAPE_TOL = 1e-10
-# Flat indices of the blocks A, C and B of matrix9, and of their mirror
+# matrix9 as flat indices into the rows of the stack (A; C; B; -B; 0).
+_A, _C, _B, _NEG_B = np.arange(36).reshape(4, 3, 3)
+_Z = np.full((3, 3), 36)
+_M9_GATHER = np.block([[_A, _Z, _Z], [_Z, _C, _NEG_B], [_Z, _B, _C]])
+# Flat indices of the blocks A, C and B of matrix9, then of their mirror
 # images across its diagonal, which hold A.T, C.T and -B.T.
 _BLOCKS = np.add.outer([0, 30, 57], [0, 1, 2, 9, 10, 11, 18, 19, 20])
-_MIRRORS = _BLOCKS % 9 * 9 + _BLOCKS // 9
+_CHECKS = np.stack((_BLOCKS, _BLOCKS % 9 * 9 + _BLOCKS // 9))
+_ZERO_ROW = np.zeros((1, 3))
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -63,16 +68,12 @@ class MetricDeformation:
         for name, m in (("A", A), ("B", B), ("C", C)):
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3, got {m.shape}")
-        m9 = np.zeros((9, 9))
-        m9[0:3, 0:3] = A
-        m9[3:6, 3:6] = m9[6:9, 6:9] = C
-        m9[3:6, 6:9] = -B
-        m9[6:9, 3:6] = B
+        m9 = np.concatenate((A, C, B, -B, _ZERO_ROW)).ravel()[_M9_GATHER]
         # The largest |entry| of A, C, B and of A - A.T, C - C.T, B + B.T
         # (a NaN if any), read off the blocks of m9 and their mirrors.
-        blocks = m9.ravel()[_BLOCKS]
-        size = np.abs(blocks).max(axis=1).tolist()
-        gap = np.abs(blocks - m9.ravel()[_MIRRORS]).max(axis=1).tolist()
+        vals = m9.ravel()[_CHECKS]
+        np.subtract(vals[0], vals[1], out=vals[1])
+        size, gap = np.maximum.reduce(np.abs(vals, out=vals), axis=2).tolist()
         scale = 1.0 + max(size[0], size[2], size[1])
         for name, err, kind in zip("ACB", gap, ("", "", "anti")):
             if err > _SHAPE_TOL * scale:
@@ -96,10 +97,8 @@ class MetricDeformation:
         return out
 
     def is_positive_definite(self, threshold: float = _EIG_FLOOR) -> bool:
-        """Positivity of the triple read as a metric operator M."""
-        if np.linalg.eigvalsh(self.A)[0] <= threshold:
-            return False
-        return np.linalg.eigvalsh(self.block6)[0] > threshold
+        """Positivity of M: block-diagonal matrix9's smallest eigenvalue."""
+        return bool(np.linalg.eigvalsh(self.matrix9)[0] > threshold)
 
     def as_metric(self) -> "DeformedMetric":
         """Read the triple as the metric M itself: t = 1 with L = M - I."""
@@ -181,22 +180,28 @@ def _block_act(a3: np.ndarray, b6: np.ndarray, x: SpElement) -> SpElement:
     return SpElement.from_array(out)
 
 
-def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):
-    """I + t a, I + t block6 and their inverses.
-
-    For one metric, or for (n, 3, 3) and (n, 6, 6) stacks, each block
-    getting the bits it gets alone.  Raises ValueError before inverting
-    unless every smallest eigenvalue is above 1e-9.
-    """
+def _metric_ops(a: np.ndarray, block6: np.ndarray, t):
+    """I + t a, I + t block6 and each smallest eigenvalue, for one metric or
+    for stacks of blocks or of (n, 1, 1) times, each with its lone bits."""
     op_a = np.eye(3) + t * a
     op_b6 = np.eye(6) + t * block6
-    min_eig = np.minimum(np.linalg.eigvalsh(op_a)[..., 0],
-                         np.linalg.eigvalsh(op_b6)[..., 0])
+    return op_a, op_b6, np.minimum(np.linalg.eigvalsh(op_a)[..., 0],
+                                   np.linalg.eigvalsh(op_b6)[..., 0])
+
+
+def _require_positive(t, min_eig) -> None:
+    """Raises ValueError unless every smallest eigenvalue is above 1e-9."""
     if np.any(min_eig <= _EIG_FLOOR):
         raise ValueError(
             f"I + tL is not positive definite at t={t!r} "
             f"(smallest eigenvalue {float(np.min(min_eig)):.3e})"
         )
+
+
+def _metric_blocks(a: np.ndarray, block6: np.ndarray, t: float):
+    """_metric_ops' blocks and their inverses, if all are positive definite."""
+    op_a, op_b6, min_eig = _metric_ops(a, block6, t)
+    _require_positive(t, min_eig)
     return op_a, op_b6, np.linalg.inv(op_a), np.linalg.inv(op_b6)
 
 

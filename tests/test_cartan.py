@@ -91,7 +91,7 @@ def test_centralizer_matrix_is_the_rows_bracket_on_the_basis(monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_plane_members_have_plane_sized_centralizers(family):
-    s = sample_cartan(family, np.random.default_rng([4, hash(family) % 991]))
+    s = sample_cartan(family, np.random.default_rng([4, FAMILIES.index(family)]))
     assert centralizer_in_m(s.x).shape[0] >= 2
     assert centralizer_in_m(s.y).shape[0] >= 2
 
@@ -144,7 +144,7 @@ def test_f2_with_and_without_w():
 def test_round_trip_recovers_family_and_parameters(family):
     for i in range(60):
         s = sample_cartan(family,
-                          np.random.default_rng([2, hash(family) % 1000, i]))
+                          np.random.default_rng([2, FAMILIES.index(family), i]))
         cls = canonicalize(s.x, s.y)
         assert cls.family == family
         # Classify the ground-truth canonical pair: parameters must agree.
@@ -160,7 +160,7 @@ def test_round_trip_recovers_family_and_parameters(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_parameters_invariant_under_rotation(family):
-    s = sample_cartan(family, np.random.default_rng([3, hash(family) % 997]))
+    s = sample_cartan(family, np.random.default_rng([3, FAMILIES.index(family)]))
     base = canonicalize(s.x, s.y)
     for angle in (0.3, 1.1, 2.9):
         rot = canonicalize(ad_h(angle, s.x), ad_h(angle, s.y))

@@ -308,6 +308,11 @@ def test_rows_matvec_takes_its_operator_c_contiguous():
 # ---- many planes at once ----
 
 
+def _scan(metrics, x, y):
+    """The rows scan under DeformedMetrics, each read as its one-metric ring."""
+    return _sectional_curvature_rows([curvature._metric_ring(m) for m in metrics], x, y)
+
+
 def _mixed_planes(seed, count):
     """Orthonormal planes: generic ones from random m vectors, then commuting."""
     rng = np.random.default_rng(seed)
@@ -332,7 +337,7 @@ def test_batched_curvature_matches_scalar(seed, t, sign):
     except ValueError:
         assume(False)
     planes, x, y = _mixed_planes(seed, 6)
-    k = _sectional_curvature_rows([metric], x, y)[0]
+    k = _scan([metric], x, y)[0]
     scalar = [sectional_curvature(metric, p).k_value for p in planes]
     np.testing.assert_allclose(k, scalar, rtol=0.0, atol=1e-14)
 
@@ -341,11 +346,11 @@ def test_batched_curvature_does_not_depend_on_chunk_size(monkeypatch):
     _, x, y = _mixed_planes(3, 40)
     for t in (-0.01, -0.2):
         metric = DeformedMetric(reference_deformation(), t)
-        whole = bits(_sectional_curvature_rows([metric], x, y))
+        whole = bits(_scan([metric], x, y))
         for chunk in (1, 7):
             monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
             np.testing.assert_array_equal(
-                bits(_sectional_curvature_rows([metric], x, y)), whole)
+                bits(_scan([metric], x, y)), whole)
         monkeypatch.undo()
 
 
@@ -356,15 +361,15 @@ def test_scan_of_many_metrics_is_the_one_metric_scans(monkeypatch):
     metrics = [DeformedMetric(reference_deformation(), t)
                for t in (-0.2, -0.01, 0.0, 0.01)]
     metrics += [random_admissible_metric(seed).as_metric() for seed in range(2)]
-    alone = [bits(_sectional_curvature_rows([m], x, y)[0]) for m in metrics]
+    alone = [bits(_scan([m], x, y)[0]) for m in metrics]
     for chunk in (1, 7, 256):
         monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
-        k = _sectional_curvature_rows(metrics, x, y)
+        k = _scan(metrics, x, y)
         assert k.shape == (len(metrics), len(x))
         for j, metric in enumerate(metrics):
             np.testing.assert_array_equal(bits(k[j]), alone[j])
             np.testing.assert_array_equal(
-                bits(_sectional_curvature_rows([metric], x, y)[0]), alone[j])
+                bits(_scan([metric], x, y)[0]), alone[j])
 
 
 def test_batched_curvature_rejects_degenerate_row():
@@ -374,7 +379,7 @@ def test_batched_curvature_rejects_degenerate_row():
         y_bad = y.copy()
         y_bad[5] = bad
         with pytest.raises(ValueError, match="degenerate plane"):
-            _sectional_curvature_rows([metric], x, y_bad)
+            _scan([metric], x, y_bad)
 
 
 # ---- one plane is the one-row case ----

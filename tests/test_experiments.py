@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp2curv import (
+    DeformedMetric,
     MetricDeformation,
     SpElement,
     TangentPlane,
@@ -14,6 +15,7 @@ from sp2curv import (
     measure_sigma,
     random_admissible_metric,
     random_deformation,
+    reference_deformation,
     run_baseline_suite,
     run_lemma0_suite,
     run_oracle_suite,
@@ -408,6 +410,46 @@ def test_theorem1_small_run():
     # the grid ends before the positivity window does.
     assert report.frontier_t <= -0.1
     assert any(not entry[2] for entry in report.frontier)
+
+
+@pytest.mark.parametrize("t_values", [(0.001, 0.01), (0.0, 0.2, -0.4), ()])
+def test_theorem1_metrics_keep_the_bits_of_deformed_metrics(monkeypatch, t_values):
+    """The one stacked pass over the requested and the frontier grid's
+    times gives each scanned metric the operators DeformedMetric gives it;
+    a grid time that is not positive definite is not scanned."""
+    seen = []
+    real = experiments._sectional_curvature_rows
+
+    def spy(rings, x, y):
+        seen.append(rings)
+        return real(rings, x, y)
+
+    monkeypatch.setattr(experiments, "_sectional_curvature_rows", spy)
+    report = verify_theorem1(2, 20, t_values)
+    times = [scan.t for scan in report.scans]
+    for t, min_k, _ in report.frontier:
+        try:
+            DeformedMetric(reference_deformation(), t)
+            times.append(t)
+        except ValueError:
+            assert np.isnan(min_k)
+    (rings,) = seen
+    assert len(rings) == len(times) and len(times) < len(t_values) + 14
+    for ring, t in zip(rings, times):
+        want = curvature._metric_ring(DeformedMetric(reference_deformation(), t))
+        np.testing.assert_array_equal(bits(ring._op), bits(want._op))
+        np.testing.assert_array_equal(bits(ring._inv), bits(want._inv))
+
+
+def test_theorem1_names_the_first_requested_t_not_positive_definite(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampled a plane before rejecting t")
+
+    monkeypatch.setattr(experiments, "sample_commuting_plane", unreachable)
+    with pytest.raises(ValueError) as exc:
+        verify_theorem1(0, 10, (0.001, 5.0, 7.0))
+    assert str(exc.value) == ("I + tL is not positive definite at t=-5.0 "
+                              "(smallest eigenvalue -9.850e+00)")
 
 
 def test_theorem1_scans_carry_their_argmin_plane():

@@ -3,13 +3,14 @@
 ``_ref_oracle`` below is ``run_oracle_suite`` as it was written when the
 bracket under test ran on two ``SpElement``s a pair through the public
 ``bracket``, and every inner product through ``bi_inner``.  The suite now
-runs the bracket's body on coordinate lists and takes a chunk's inner
-products as one rows dot; with no ``bracket_fn`` its report must keep
-every bit.
+runs the bracket's body once per chunk on coordinate columns and takes a
+chunk's inner products as one rows dot; with no ``bracket_fn`` its report
+must keep every bit.
 """
 
 import numpy as np
 import pytest
+from conftest import bits
 
 from sp2curv import experiments, run_oracle_suite
 from sp2curv.algebra import (
@@ -103,3 +104,46 @@ def test_oracle_report_does_not_depend_on_the_chunk(monkeypatch, samples):
         monkeypatch.setattr(experiments, "_ORACLE_CHUNK", chunk)
         reports.append(_bits(run_oracle_suite(5, samples)))
     assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+# Coordinates whose products are subnormal, signed zeros or near 1e+-300.
+_EDGE = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308,
+         1e-150, -3e-150, 1e150, -2e150, 1.0, -0.7, 3.0)
+
+
+def _per_pair(xs, ys):
+    """_bracket_list on each pair's two coordinate lists: the per-pair route."""
+    return np.array([_bracket_list(a, b) for a, b in zip(xs.tolist(), ys.tolist())])
+
+
+def _columns_seen(monkeypatch, seed, samples):
+    """[(xs, ys, the (n, 10) bracket)] of the calls the suite makes."""
+    seen = []
+
+    def spy(a, b):
+        out = _bracket_list(a, b)
+        seen.append((a.T, b.T, np.array(out).T))
+        return out
+
+    monkeypatch.setattr(experiments, "_bracket_list", spy)
+    run_oracle_suite(seed, samples)
+    return seen
+
+
+def test_column_route_keeps_the_bits_of_the_per_pair_bracket_on_edge_values():
+    """_bracket_list on (10, n) columns rounds every entry as the per-pair
+    route does, signed zeros, subnormals and products near 1e+-300 too."""
+    rng = np.random.default_rng(21)
+    pairs = rng.choice(_EDGE, size=(4000, 2, 10))
+    pairs[::7] *= rng.uniform(-1.0, 1.0, (len(pairs[::7]), 2, 10))
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    columns = np.array(_bracket_list(xs.T, ys.T)).T
+    np.testing.assert_array_equal(bits(columns), bits(_per_pair(xs, ys)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_suite_runs_the_bracket_once_per_chunk_on_columns(monkeypatch, seed):
+    seen = _columns_seen(monkeypatch, seed, 3 * _ORACLE_CHUNK + 5)
+    assert [len(xs) for xs, _, _ in seen] == [_ORACLE_CHUNK] * 3 + [5]
+    for xs, ys, got in seen:
+        np.testing.assert_array_equal(bits(got), bits(_per_pair(xs, ys)))
