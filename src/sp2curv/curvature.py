@@ -250,14 +250,9 @@ class _RowsRing:
         return _rows_matvec(self._inv, a)
 
 
-# Rows evaluated at once by _sectional_curvature_rows and by
-# _numerator_jet_rows; neither changes a value.  With stacked matmuls a
-# 10k-plane fixed-t scan took 36-47 ms in chunks of 256, 38-59 ms at 512
-# and 33-62 ms at 1024 (fastest and median of nine, two sweeps), so 256
-# stays.  With the signed-gather bracket the jets of run_lemma0_suite(0,
-# 10000) took 90-114 ms at 256, 87-100 ms at 512 and 90-111 ms at 1024
-# (fastest and median of 7 and of 15 interleaved rounds), and the suite
-# peaked at 4.5, 6.4 and 10.2 MiB under tracemalloc, so 512.
+# Rows evaluated at once by _sectional_curvature_rows and by the jet and
+# closed-form rows; no value depends on them.  Chosen by timed 10k-plane
+# sweeps over 256, 512 and 1024 (CHANGES.md); 1024 raised lemma0's peak.
 _ROWS_CHUNK = 256
 _JET_CHUNK = 512
 
@@ -354,6 +349,15 @@ def _cauchy(p, q, mul, add=operator.add) -> list:
     return out
 
 
+def _neumann(lam9: np.ndarray) -> np.ndarray:
+    """(-L)^0..4, the Neumann coefficients of M_t^{-1}, for one L or a stack."""
+    out = np.empty((_JET_ORDER + 1,) + lam9.shape)
+    out[0] = np.eye(9)
+    for i in range(_JET_ORDER):
+        out[i + 1] = -lam9 @ out[i]
+    return out
+
+
 class _JetRing:
     """Values are (k, 10) arrays of coefficients of t^0 .. t^(k-1), k <= 5.
 
@@ -370,11 +374,7 @@ class _JetRing:
 
     def __init__(self, d: MetricDeformation):
         self.lam9 = d.matrix9
-        # (-L)^i for i = 0..4, the Neumann coefficients of M_t^{-1}.
-        neumann = [np.eye(9)]
-        for _ in range(_JET_ORDER):
-            neumann.append(-self.lam9 @ neumann[-1])
-        self.neumann = np.array(neumann)
+        self.neumann = _neumann(self.lam9)
 
     def br(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.array(_cauchy(p.tolist(), q.tolist(), _bracket_list,
@@ -439,23 +439,20 @@ class _JetRowsRing(_JetRing):
         return out
 
 
-def _numerator_jet_rows(pool: list, which: np.ndarray, x: np.ndarray,
+def _numerator_jet_rows(lam9: np.ndarray, which: np.ndarray, x: np.ndarray,
                         y: np.ndarray) -> np.ndarray:
     """Degree-4 jets of C for the planes spanned by the rows of x, y.
 
-    Row r is taken under the deformation pool[which[r]].  Returns the
-    (5, n) coefficients; the Neumann powers of each pool deformation are
-    computed once, as numerator_jet computes them.  A pool of one is
+    Row r is taken under the deformation L = lam9[which[r]] of an (m, 9, 9)
+    stack.  Returns the (5, n) coefficients; the Neumann powers of each L
+    are computed once, as numerator_jet computes them.  A stack of one is
     shared by every row, not copied to each.
     """
-    lam9 = np.array([d.matrix9 for d in pool])
-    neumann = np.empty((_JET_ORDER + 1,) + lam9.shape)
-    for j, d in enumerate(pool):
-        neumann[:, j] = _JetRing(d).neumann
+    neumann = _neumann(lam9)
     out = np.empty((_JET_ORDER + 1, len(x)))
     for lo in range(0, len(x), _JET_CHUNK):
         rows = slice(lo, lo + _JET_CHUNK)
-        pick = slice(None) if len(pool) == 1 else which[rows]
+        pick = slice(None) if len(lam9) == 1 else which[rows]
         ring = _JetRowsRing(lam9[pick], neumann[:, pick])
         out[:, rows] = _six_terms(ring, x[None, rows], y[None, rows])
     return out
@@ -479,11 +476,16 @@ def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL
     return _norm(br) <= rel_tol * scale
 
 
+def _closed_form_rows(lam9: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C''(0) = 1/2 |[X, LY] - [Y, LX]|^2 of commuting rows x, y; lam9 is (1 or n, 9, 9)."""
+    lxy = np.zeros((2,) + x.shape)
+    lxy[..., 1:] = _rows_matvec(lam9, np.stack((x, y))[..., 1:])
+    diff = _bracket_rows(x, lxy[1]) - _bracket_rows(y, lxy[0])
+    return 0.5 * _rows_dot(diff, diff)
+
+
 def second_derivative_closed_form(d: MetricDeformation, plane: TangentPlane) -> float:
-    """C''(0) = 1/2 |[X, LY] - [Y, LX]|^2, valid only for commuting pairs."""
+    """C''(0) = 1/2 |[X, LY] - [Y, LX]|^2: _closed_form_rows of one commuting pair."""
     if not is_commuting_pair(plane.x, plane.y):
         raise ValueError("closed form requires a commuting pair")
-    lx = d._apply_arr(_m_part(plane.x.data))
-    ly = d._apply_arr(_m_part(plane.y.data))
-    diff = _bracket_arr(plane.x.data, ly) - _bracket_arr(plane.y.data, lx)
-    return 0.5 * float(diff @ diff)
+    return float(_closed_form_rows(d.matrix9[None], plane.x.data[None], plane.y.data[None])[0])

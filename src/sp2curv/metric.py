@@ -18,6 +18,7 @@ for every such triple.  The same data shape serves two roles:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _uniform(rng: np.random.Generator, low, high, size=None):
 class MetricDeformation:
     """Block triple (A, B, C): A, C symmetric, B antisymmetric."""
 
-    __slots__ = ("A", "B", "C", "matrix9")
+    __slots__ = ("A", "B", "C", "matrix9", "_has_nan")
 
     def __init__(self, A, B, C):
         A, B, C = (np.array(m, dtype=float) for m in (A, B, C))
@@ -84,21 +85,17 @@ class MetricDeformation:
         self.B = B
         self.C = C
         self.matrix9 = m9
+        self._has_nan = math.isnan(sum(size))
 
     @property
     def block6(self) -> np.ndarray:
         """The symmetric 6x6 block (C -B; B C) acting on (v, w)."""
         return self.matrix9[3:9, 3:9]
 
-    def _apply_arr(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(10)
-        out[0] = a[0]
-        out[1:10] = self.matrix9 @ a[1:10]
-        return out
-
     def is_positive_definite(self, threshold: float = _EIG_FLOOR) -> bool:
-        """Positivity of M: block-diagonal matrix9's smallest eigenvalue."""
-        return bool(np.linalg.eigvalsh(self.matrix9)[0] > threshold)
+        """Positivity of M: block-diagonal matrix9's smallest eigenvalue.
+        eigvalsh reads one triangle only, so a NaN entry rules M out first."""
+        return not self._has_nan and bool(np.linalg.eigvalsh(self.matrix9)[0] > threshold)
 
     def as_metric(self) -> "DeformedMetric":
         """Read the triple as the metric M itself: t = 1 with L = M - I."""

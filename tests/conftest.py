@@ -21,6 +21,11 @@ def bits(a) -> np.ndarray:
     return np.asarray(a).view(np.uint64)
 
 
+def matrix9_stack(pool) -> np.ndarray:
+    """The (m, 9, 9) stack of the deformations' L, as the jet rows take it."""
+    return np.array([d.matrix9 for d in pool])
+
+
 def near_orbit_plane(rng, delta):
     """The t0 rows plus delta * noise, projected onto [x, y] = 0.
 

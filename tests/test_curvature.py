@@ -39,7 +39,7 @@ from sp2curv.curvature import (
 )
 from sp2curv.experiments import _FRONTIER_GRID
 
-from conftest import bits, element
+from conftest import bits, element, matrix9_stack
 
 
 # ---- tangent planes ----
@@ -433,7 +433,7 @@ def test_batched_jets_match_scalar(seed, deformations):
     planes, x, y = _mixed_planes(seed, 5)
     pool = _jet_pool(seed, deformations)
     which = np.arange(len(planes)) % deformations
-    jets = curvature._numerator_jet_rows(pool, which, x, y)
+    jets = curvature._numerator_jet_rows(matrix9_stack(pool), which, x, y)
     for r, plane in enumerate(planes):
         scalar = numerator_jet(pool[which[r]], plane)
         assert np.all(np.abs(jets[:, r] - scalar)
@@ -444,12 +444,12 @@ def test_batched_jets_do_not_depend_on_chunk_size(monkeypatch):
     _, x, y = _mixed_planes(3, 40)
     pool = [reference_deformation()] + _jet_pool(3, 6)
     which = np.arange(len(x)) % len(pool)
-    whole = bits(curvature._numerator_jet_rows(pool, which, x, y))
+    whole = bits(curvature._numerator_jet_rows(matrix9_stack(pool), which, x, y))
     for chunk in (1, 7):
         monkeypatch.setattr(curvature, "_ROWS_CHUNK", chunk)
         monkeypatch.setattr(curvature, "_JET_CHUNK", chunk)
         np.testing.assert_array_equal(
-            bits(curvature._numerator_jet_rows(pool, which, x, y)), whole)
+            bits(curvature._numerator_jet_rows(matrix9_stack(pool), which, x, y)), whole)
 
 
 def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
@@ -465,10 +465,10 @@ def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
             super().__init__(lam9, neumann)
 
     monkeypatch.setattr(curvature, "_JetRowsRing", Spy)
-    one = curvature._numerator_jet_rows([d], np.zeros(len(x), dtype=int), x, y)
+    one = curvature._numerator_jet_rows(d.matrix9[None], np.zeros(len(x), dtype=int), x, y)
     monkeypatch.undo()
     assert shapes == [((1, 9, 9), (5, 1, 9, 9))]
-    two = curvature._numerator_jet_rows([d, d], np.arange(len(x)) % 2, x, y)
+    two = curvature._numerator_jet_rows(matrix9_stack([d, d]), np.arange(len(x)) % 2, x, y)
     np.testing.assert_array_equal(bits(one), bits(two))
 
 

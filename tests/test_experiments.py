@@ -41,6 +41,7 @@ from sp2curv.algebra import (
 )
 from sp2curv.cartan import SPECIAL_ORBIT_TOL
 from sp2curv.curvature import (
+    _closed_form_rows,
     _numerator_jet_rows,
     _sectional_curvature_rows,
     numerator_jet,
@@ -230,8 +231,8 @@ def test_lemma0_suite_passes():
 
 
 def test_lemma0_fails_on_nan_jet(monkeypatch):
-    def with_nan(pool, which, x, y):
-        jet = _numerator_jet_rows(pool, which, x, y)
+    def with_nan(lam9, which, x, y):
+        jet = _numerator_jet_rows(lam9, which, x, y)
         jet[:, 3] = np.nan
         return jet
 
@@ -242,15 +243,12 @@ def test_lemma0_fails_on_nan_jet(monkeypatch):
 
 
 def test_lemma0_fails_on_nan_closed_form(monkeypatch):
-    calls = []
+    def with_nan(lam9, x, y):
+        closed = _closed_form_rows(lam9, x, y)
+        closed[3] = np.nan
+        return closed
 
-    def with_nan(d, plane):
-        calls.append(None)
-        if len(calls) == 4:
-            return np.nan
-        return second_derivative_closed_form(d, plane)
-
-    monkeypatch.setattr(experiments, "second_derivative_closed_form", with_nan)
+    monkeypatch.setattr(experiments, "_closed_form_rows", with_nan)
     report = run_lemma0_suite(0, 20, deformations=5)
     assert not report.passed
     assert np.isnan(report.max_closed_form_gap)

@@ -17,6 +17,8 @@ from sp2curv.algebra import _bracket_arr
 from sp2curv.curvature import _numerator_jet_rows, _six_terms, numerator_jet
 from sp2curv.metric import random_deformation, reference_deformation
 
+from conftest import matrix9_stack
+
 SEEDS = range(10)
 PLANES = 160
 _ORDER = 4
@@ -110,8 +112,8 @@ def test_jets_keep_the_bits_of_jet_arithmetic(seed):
     which = np.arange(PLANES) % len(pool)
     for deformations, rows in (
             ([ref] * PLANES,
-             _numerator_jet_rows([ref], np.zeros(PLANES, dtype=int), x, y)),
-            ([pool[j] for j in which], _numerator_jet_rows(pool, which, x, y))):
+             _numerator_jet_rows(ref.matrix9[None], np.zeros(PLANES, dtype=int), x, y)),
+            ([pool[j] for j in which], _numerator_jet_rows(matrix9_stack(pool), which, x, y))):
         expected = np.array([_ref_jet(d, a, b)
                              for d, a, b in zip(deformations, x, y)])
         got = np.array([numerator_jet(d, p)

@@ -153,6 +153,18 @@ def test_random_admissible_metric_is_positive_definite():
         assert np.abs(tri.B).max() > 0.01
 
 
+@pytest.mark.parametrize("block", range(3), ids=["A", "B", "C"])
+def test_a_nan_entry_is_never_positive_definite(block):
+    # The constructor lets a NaN through, and eigvalsh reads one triangle of
+    # matrix9, so each of the nine positions of each block is tried.
+    for i, j in np.ndindex(3, 3):
+        triple = [2.0 * np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]
+        triple[block][i, j] = np.nan
+        tri = MetricDeformation(*triple)
+        assert not tri.is_positive_definite(), (i, j)
+        assert not tri.is_positive_definite(-np.inf), (i, j)
+
+
 def test_metric_commutes_with_isotropy_rotation_when_b_zero():
     # With B = 0 and A arbitrary, block6 = diag(C, C) commutes with the
     # double-speed rotation, so apply and ad_h commute.

@@ -81,6 +81,11 @@ def test_every_traced_ratio_is_finite(bench, workload, tmp_path):
             if not math.isfinite(value)} == {}
     if workload == "jets":
         assert found["jets.curvature.orthonormalized.per_plane"][0] == 1.5
+        # lemma0 takes its closed forms as rows, not plane by plane.
+        assert _spans_of(recorded, ranges, "lemma0",
+                         "curvature.second_derivative_closed_form") == []
+        assert len(_spans_of(recorded, ranges, "lemma0",
+                             "metric.random_deformation")) == 100
         return
 
     planes = _spans_of(recorded, ranges, "theorem1",
