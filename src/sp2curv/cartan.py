@@ -20,6 +20,12 @@ quadratic det[v(Z) | w(Z)] over elements Z of the plane: identically zero
 for F3, a pair of distinct root directions for F4.  Orderings and signs
 are fixed by rotation-invariant data only, so any basis of any rotation of
 a plane reduces to the same canonical pair.
+
+The distance of a plane from the rotation orbit of t0 is chordal (the
+Grassmannian's projection metric, |sin of the principal angles|): its
+square is 2 minus a quadratic form in (cos 2s, sin 2s), so the top
+eigenvector of a 2x2 form gives the exact minimizing angle s, and one SVD
+of the residual there gives the sines, precise near zero.
 """
 
 from __future__ import annotations
@@ -476,46 +482,13 @@ def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
 
 # ---- the special orbit ----
 
-# Planes taken at once (256 would raise the peak RSS), and the grid angles.
-_ORBIT_CHUNK = 128
-_ORBIT_GRID = np.linspace(0.0, math.pi, 65)[:-1]
-
-# A candidate takes the SVD when its screened distance is within this of
-# its row's screened minimum.  The screen errs by about 1e-7 at worst
-# (2.6e-8 seen), so the candidate a full 65-SVD scan picks is kept.
-_ORBIT_SCREEN_MARGIN = 1e-6
-# The columns a rotation leaves alone, or turns within themselves.
-_STILL = np.array([0, 1, 2, 3, 6, 9])
-
-
-def _orbit_screen(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray):
-    """Distances of (n, 2, 10) orthonormal rows turned by the (n, k) angles
-    of cos 2s, sin 2s, from the residual's 2x2 Gram (the squared sines).
-    Only columns 5 and 7 move it: 6 and 9 turn (v3, w3), keeping theirs."""
-    still = rows[:, :, _STILL]
-    base = still @ still.transpose(0, 2, 1)
-    v, w = rows[:, None, :, 4:7], rows[:, None, :, 7:10]
-    c5 = cos[..., None] * v[..., 1] + sin[..., None] * w[..., 1]
-    c7 = cos[..., None] * w[..., 0] - sin[..., None] * v[..., 0]
-    g00, g01, g11 = (base[:, None, i, j] + c5[..., i] * c5[..., j]
-                     + c7[..., i] * c7[..., j] for i, j in ((0, 0), (0, 1), (1, 1)))
-    mean, half = (g00 + g11) / 2, np.hypot((g00 - g11) / 2, g01)
-    return np.hypot(*(np.arcsin(np.sqrt(_clip01(e)))
-                      for e in (mean - half, mean + half)))
-
-
-def _clip01(a: np.ndarray) -> np.ndarray:
-    """np.clip(a, 0.0, 1.0), up to the sign of a zero, which the squares
-    and hypot that follow drop."""
-    return np.minimum(np.maximum(a, 0.0), 1.0)
-
 
 def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     """(distances, angles) for the planes spanned by the rows of x and y.
 
     Row r is computed as if it were alone: the dot products, the batched
     eigh and the batched SVD treat each small matrix of the stack on its
-    own, so no value depends on the number of rows or on the chunk.
+    own, so no value depends on the number of rows.
     """
     # Ufuncs, methods and preallocated arrays, not numpy's Python-level
     # wrappers (np.stack, np.sum, ...), which cost more than one row's work.
@@ -539,55 +512,26 @@ def _orbit_distance_rows(x: np.ndarray, y: np.ndarray) -> tuple:
     pair = pair.reshape(-1, 2, 4)
     form = np.add.reduce(pair[:, :, None] * pair[:, None], axis=-1)
     top = np.linalg.eigh(form)[1][:, :, 1]
-    exact = np.array([0.5 * math.atan2(s, c) % math.pi for c, s in top.tolist()])
+    angles = np.array([0.5 * math.atan2(s, c) % math.pi for c, s in top.tolist()])
 
-    distances, angles = np.empty((2, len(x)))
-    for lo in range(0, len(x), _ORBIT_CHUNK):
-        chunk = slice(lo, lo + _ORBIT_CHUNK)
-        n = len(exact[chunk])
-        candidates = np.empty((n, 65))
-        candidates[:, :64] = _ORBIT_GRID
-        candidates[:, 64] = exact[chunk]
-        cos, sin = np.cos(2.0 * candidates), np.sin(2.0 * candidates)
-        screened = _orbit_screen(rows[chunk], cos, sin)
-        floor = screened.min(axis=1, keepdims=True)
-        r, c = ((screened <= floor + _ORBIT_SCREEN_MARGIN)
-                | np.isnan(floor)).nonzero()
-        cos, sin = cos[r, c, None, None], sin[r, c, None, None]
-        # The residual against t0 is the rotated plane with its t0 slots
-        # (columns 4 and 8) zeroed.  Its singular values are the sines of
-        # the principal angles, exact in [0, pi/2] and precise near zero.
-        residual = rows[chunk][r]
-        residual[..., 4:7] = cos * v[chunk][r] + sin * w[chunk][r]
-        residual[..., 7:10] = -sin * v[chunk][r] + cos * w[chunk][r]
-        residual[..., 4:9:4] = 0.0
-        sines = np.linalg.svd(residual, compute_uv=False)
-        dists = np.empty((n, 65))
-        dists.fill(np.inf)
-        dists[r, c] = np.sqrt(np.add.reduce(np.arcsin(_clip01(sines))**2, -1))
-        best = (np.arange(n), dists.argmin(axis=1))
-        distances[chunk] = dists[best]
-        angles[chunk] = candidates[best]
-    return distances, angles
+    # The residual against t0 is the turned plane with its t0 slots
+    # (columns 4 and 8) zeroed.  Its singular values are the sines of the
+    # principal angles, precise near zero.
+    cos = np.cos(2.0 * angles)[:, None, None]
+    sin = np.sin(2.0 * angles)[:, None, None]
+    residual = rows.copy()
+    residual[..., 4:7] = cos * v + sin * w
+    residual[..., 7:10] = -sin * v + cos * w
+    residual[..., 4:9:4] = 0.0
+    sines = np.linalg.svd(residual, compute_uv=False)
+    return np.sqrt(np.add.reduce(sines * sines, -1)), angles
 
 
 def special_orbit_distance(x: SpElement, y: SpElement) -> tuple:
-    """(distance, angle): how far span(x, y) sits from the rotated t0 plane.
-
-    Minimizes the geodesic subspace distance between the plane and the
-    rotation orbit of t0 = span((0,0,e1,0), (0,0,0,e2)); the angle realizes
-    the minimum.  This is the one-row case of the batched orbit distance
-    that the dichotomy suite runs, with the same bits.
-
-    The overlap |T0 R(s)^T|_F^2 is a homogeneous quadratic in
-    (cos 2s, sin 2s), so the angle maximizing it (equivalently minimizing
-    the chordal distance) is exact: the top eigenvector of a 2x2 form.
-    Near the orbit that angle also minimizes the geodesic distance to
-    third order, which is all the membership threshold can see; a grid of
-    64 angles guards the far-from-orbit regime.  Only the candidates within
-    _ORBIT_SCREEN_MARGIN of a closed-form screen's minimum take the SVD,
-    so the bits are those of an SVD at all 65.
-    """
+    """(distance, angle): the chordal distance of span(x, y) from the
+    rotation orbit of t0 = span((0,0,e1,0), (0,0,0,e2)) and the angle
+    that attains it; the one-row case of the dichotomy suite's batched
+    orbit distance, with the same bits."""
     distances, angles = _orbit_distance_rows(x.data[None], y.data[None])
     return float(distances[0]), float(angles[0])
 

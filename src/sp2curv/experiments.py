@@ -413,8 +413,8 @@ class Lemma1Report(NamedTuple):
     max_special_abs_c2: float
     max_special_c3_defect: float
     # How close a plane came to SPECIAL_ORBIT_TOL from either side, over
-    # the GENERIC_POSITIVE verdicts and over the verdicts on the orbit;
-    # NaN when that set is empty.
+    # the GENERIC_POSITIVE verdicts and over the verdicts on the orbit, as
+    # chordal distances (special_orbit_distance); NaN when that set is empty.
     min_generic_orbit_distance: float
     max_special_orbit_distance: float
     elapsed_seconds: float

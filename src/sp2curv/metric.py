@@ -140,6 +140,10 @@ class DeformedMetric:
     def __init__(self, deformation: MetricDeformation, t: float):
         self.deformation = deformation
         self.t = float(t)
+        # eigvalsh reads one triangle only and fails to converge on a NaN,
+        # so a NaN entry or a time that is not finite is ruled out first.
+        if deformation._has_nan or not math.isfinite(self.t):
+            _require_positive(self.t, math.nan)
         blocks = _metric_blocks(deformation.A, deformation.block6, self.t)
         self._op_a, self._op_block6, self._inv_a, self._inv_block6 = blocks
         for m in blocks:
@@ -188,7 +192,7 @@ def _metric_ops(a: np.ndarray, block6: np.ndarray, t):
 
 def _require_positive(t, min_eig) -> None:
     """Raises ValueError unless every smallest eigenvalue is above 1e-9."""
-    if np.any(min_eig <= _EIG_FLOOR):
+    if not np.all(min_eig > _EIG_FLOOR):
         raise ValueError(
             f"I + tL is not positive definite at t={t!r} "
             f"(smallest eigenvalue {float(np.min(min_eig)):.3e})"

@@ -369,8 +369,7 @@ def test_lemma1_rows_do_not_depend_on_the_stack(sampler, monkeypatch):
         np.testing.assert_array_equal(
             bits(alone), bits([distances[r], angles[r]]))
     whole = _verdict_bits(report)
-    for chunk in (1, 7, cartan._ORBIT_CHUNK):
-        monkeypatch.setattr(cartan, "_ORBIT_CHUNK", chunk)
+    for chunk in (1, 7, 128):
         monkeypatch.setattr(curvature, "_JET_CHUNK", chunk)
         np.testing.assert_array_equal(
             _verdict_bits(verify_lemma1(7, 150, **sampler)), whole)

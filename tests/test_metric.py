@@ -15,6 +15,7 @@ from sp2curv import (
     random_deformation,
     reference_deformation,
 )
+from sp2curv.metric import _require_positive
 
 from conftest import element
 
@@ -163,6 +164,28 @@ def test_a_nan_entry_is_never_positive_definite(block):
         tri = MetricDeformation(*triple)
         assert not tri.is_positive_definite(), (i, j)
         assert not tri.is_positive_definite(-np.inf), (i, j)
+
+
+@pytest.mark.parametrize("block", range(3), ids=["A", "B", "C"])
+def test_a_nan_entry_never_builds_a_metric(block):
+    # Each of the 27 single NaN entries raises the positivity ValueError,
+    # neither a metric holding NaN nor eigvalsh's LinAlgError.
+    for i, j in np.ndindex(3, 3):
+        triple = [np.eye(3), np.zeros((3, 3)), np.eye(3)]
+        triple[block][i, j] = np.nan
+        with pytest.raises(ValueError, match="not positive definite"):
+            DeformedMetric(MetricDeformation(*triple), 0.1)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_time_that_is_not_finite_never_builds_a_metric(t):
+    with pytest.raises(ValueError, match="not positive definite"):
+        DeformedMetric(reference_deformation(), t)
+
+
+def test_a_nan_smallest_eigenvalue_is_not_positive():
+    with pytest.raises(ValueError, match="not positive definite"):
+        _require_positive(0.1, np.array([1.0, np.nan]))
 
 
 def test_metric_commutes_with_isotropy_rotation_when_b_zero():
