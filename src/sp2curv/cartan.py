@@ -11,10 +11,11 @@ one of four canonical families:
 
 The reduction is constructive: it returns the canonical pair together with
 a witness (an angle and a 2x2 matrix) that maps the canonical pair back to
-the input pair exactly.  It runs in one pass, and the check of that
-reconstruction is its only verdict: the guards on the way protect
-divisions, normalizations, rank and branch decisions and the returned
-parameters, not the shape of intermediate rows.  The case split is driven
+the input pair.  One pass over the orthonormalized pair finds the family,
+the parameters and the angle; the matrix is then fitted to the input by
+least squares, and the check of that reconstruction is the only verdict.
+The guards on the way protect parameter reads and rank and branch
+decisions only, not the shape of intermediate rows.  The case split is driven
 by the rank of the u-parts and, when that rank is 2, by the in-plane
 quadratic det[v(Z) | w(Z)] over elements Z of the plane: identically zero
 for F3, a pair of distinct root directions for F4.  Orderings and signs
@@ -37,7 +38,7 @@ import numpy as np
 
 from .algebra import (_BR_I, _BR_J, _BR_SIGN, SpElement, _ad_h_arr, _ad_h_rows,
                       _cross, _norm, _pair)
-from .curvature import _rows_dot, is_commuting_pair
+from .curvature import TangentPlane, _rows_dot, is_commuting_pair
 from .metric import as_generator
 
 __all__ = [
@@ -105,18 +106,14 @@ class CartanClassification(NamedTuple):
 
 
 class _Reduction:
-    """Working pair plus the accumulated transformation.
+    """Working rows, from the orthonormalized input, and the accumulated
+    isotropy angle; mixes act on the rows only (the witness is fitted)."""
 
-    Rotations act rowwise and commute with row recombinations, so the state
-    satisfies rows = amat @ ad_h(theta)(raw input rows) at every step.
-    """
+    __slots__ = ("rows", "theta")
 
-    __slots__ = ("rows", "theta", "amat")
-
-    def __init__(self, rows: np.ndarray, seed_mix: np.ndarray):
-        self.rows = seed_mix @ rows
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
         self.theta = 0.0
-        self.amat = seed_mix.copy()
 
     def rotate(self, angle: float) -> None:
         if angle != 0.0:
@@ -124,9 +121,7 @@ class _Reduction:
             self.theta += angle
 
     def mix(self, a) -> None:
-        a = np.asarray(a, dtype=float)
         self.rows = a @ self.rows
-        self.amat = a @ self.amat
 
     # Accessors for the three vector slots of each row.
     def us(self) -> np.ndarray:
@@ -201,15 +196,26 @@ def _check(cond: bool, label: str) -> None:
 
 def _orient(red: _Reduction, u_dir: np.ndarray, second: np.ndarray) -> tuple:
     """Sign u and the second direction by their first nonzero entries: u
-    by negating the pair, the other by a quarter turn and row two negated."""
+    by negating both (the pair's negation), the other by a quarter turn
+    (with row two negated, which the fitted witness absorbs)."""
     if _first_nonzero_sign(u_dir) < 0.0:
         u_dir, second = -u_dir, -second
-        red.mix(-np.eye(2))
     if _first_nonzero_sign(second) < 0.0:
         second = -second
         red.rotate(0.5 * math.pi)
-        red.mix(np.diag([1.0, -1.0]))
     return u_dir, second
+
+
+def _turn_onto_v(red: _Reduction, row: np.ndarray) -> None:
+    """Turn the rows so that the aligned element +-row, signed by
+    _pq_needs_flip, lies on the v slot along its direction."""
+    direction = _aligned_direction(row)
+    p = float(row[4:7] @ direction)
+    q = float(row[7:10] @ direction)
+    _check(math.hypot(p, q) > 1e-10, "first aligned element vanishes")
+    if _pq_needs_flip(p, q):
+        p, q = -p, -q
+    red.rotate(0.5 * math.atan2(q, p))
 
 
 def _reduce_case1(red: _Reduction) -> tuple:
@@ -217,7 +223,8 @@ def _reduce_case1(red: _Reduction) -> tuple:
 
     Elements with aligned v and w parts form exactly two directions in the
     plane, the zeros of the vector quadratic v(Z) x w(Z); once ordered by
-    their common R^3 direction they rotate and rescale onto the F1 pair.
+    their common R^3 direction they give the F1 pair's v and w, and the
+    first one turns onto the v slot.
     """
     (v1, v2), (w1, w2) = red.vs().tolist(), red.ws().tolist()
     mixed = [a + b for a, b in zip(_cross(v1, w2), _cross(v2, w1))]
@@ -228,31 +235,10 @@ def _reduce_case1(red: _Reduction) -> tuple:
 
     aligned = roots @ red.rows
     dirs = [_aligned_direction(r) for r in aligned]
-    if not _lex_descending(dirs[0], dirs[1]):
-        roots = roots[::-1]
-        dirs = dirs[::-1]
-        aligned = aligned[::-1]
-    roots = roots.copy()
-    for j in (0, 1):
-        if _pq_needs_flip(
-            float(aligned[j][4:7] @ dirs[j]), float(aligned[j][7:10] @ dirs[j])
-        ):
-            roots[j] = -roots[j]
-    red.mix(roots)
-    m1, m2 = dirs
+    first = 0 if _lex_descending(dirs[0], dirs[1]) else 1
+    m1, m2 = dirs[first], dirs[1 - first]
     _check(abs(m1 @ m2) <= _RESIDUAL_TOL, "aligned directions not orthogonal")
-
-    p1 = float(red.vs()[0] @ m1)
-    q1 = float(red.ws()[0] @ m1)
-    _check(math.hypot(p1, q1) > 1e-10, "first aligned element vanishes")
-    red.rotate(0.5 * math.atan2(q1, p1))
-
-    r1 = float(red.vs()[0] @ m1)
-    _check(r1 > 1e-10, "rotation lost the first element")
-    q2 = float(red.ws()[1] @ m2)
-    _check(abs(q2) > 1e-10, "second aligned element vanishes")
-    red.mix(np.diag([1.0 / r1, 1.0 / q2]))
-
+    _turn_onto_v(red, aligned[first])
     return "F1", {"v": m1, "w": m2}
 
 
@@ -268,20 +254,13 @@ def _reduce_case2(red: _Reduction) -> tuple:
     # second row onto the u direction.
     p = float(red.vs()[1] @ u_dir)
     q = float(red.ws()[1] @ u_dir)
-    r = math.hypot(p, q)
-    _check(r > 1e-10, "second row vanishes")
+    _check(math.hypot(p, q) > 1e-10, "second row vanishes")
     if _pq_needs_flip(p, q):
-        red.mix(np.diag([1.0, -1.0]))
         p, q = -p, -q
     red.rotate(0.5 * math.atan2(q, p))
-    r = float(red.vs()[1] @ u_dir)
-    _check(r > 1e-10, "rotation lost the second row")
-    red.mix(np.diag([1.0, 1.0 / r]))
 
-    # And the first row may keep only a v-part along u, removable by a shear.
-    xi = float(red.vs()[0] @ u_dir)
-    red.mix(np.array([[1.0, -xi], [0.0, 1.0]]))
-
+    # The first row's w part, off u, is the parameter; its v part along u
+    # is a multiple of the second row, which the fitted witness absorbs.
     w_vec = red.ws()[0].copy()
     w_vec -= (w_vec @ u_dir) * u_dir
     u_dir, w_vec = _orient(red, u_dir, w_vec)
@@ -329,17 +308,9 @@ def _reduce_case3_f3(red: _Reduction) -> tuple:
     p_dir = c_vec / c_norm
     q_dir = d_vec / d_norm
 
-    flip = np.eye(2)
     pq = float(p_dir @ q_dir)
     if pq < -1e-10 or (abs(pq) <= 1e-10 and _first_nonzero_sign(q_dir) < 0.0):
         q_dir = -q_dir
-        flip = np.diag([1.0, -1.0])
-
-    kappa = 2.0 / _norm(p_dir + q_dir)
-    red.mix(np.array([plus, minus]))
-    red.mix(np.diag([1.0 / c_norm, 1.0 / d_norm]))
-    red.mix(flip)
-    red.mix(np.array([[0.5 * kappa, 0.5 * kappa], [0.5 * kappa, -0.5 * kappa]]))
 
     u_dir = (p_dir + q_dir) / _norm(p_dir + q_dir)
     u_perp = (p_dir - q_dir) / _norm(p_dir + q_dir)
@@ -370,19 +341,9 @@ def _reduce_case3_f4(red: _Reduction, roots: np.ndarray) -> tuple:
         swap = not _lex_descending(dirs[0], dirs[1])
     else:
         swap = ratios[0] > ratios[1]
-    if swap:
-        roots = roots[::-1]
-    roots = roots.copy()
-    first = roots[0] @ red.rows
-    m1 = _aligned_direction(first)
-    if _pq_needs_flip(float(first[4:7] @ m1), float(first[7:10] @ m1)):
-        roots[0] = -roots[0]
-    red.mix(roots)
-
-    p1 = float(red.vs()[0] @ m1)
-    q1 = float(red.ws()[0] @ m1)
-    _check(math.hypot(p1, q1) > 1e-10, "first aligned element vanishes")
-    red.rotate(0.5 * math.atan2(q1, p1))
+    red.mix(roots[::-1] if swap else roots)
+    # The first row keeps its sign: mu is even in it, and _orient signs u, p.
+    _turn_onto_v(red, red.rows[0])
 
     nu = _norm(red.us()[0])
     _check(nu > 1e-10, "first element u-part")
@@ -427,50 +388,37 @@ def _reduce_case3(red: _Reduction) -> tuple:
     return _reduce_case3_f4(red, roots)
 
 
-def _orthonormalize_with_mix(x_arr: np.ndarray, y_arr: np.ndarray):
-    """The raw rows [x, y] and the 2x2 Gram-Schmidt mix: the mix applied
-    to the raw rows gives their orthonormal Gram-Schmidt rows."""
-    n0 = _norm(x_arr)
-    if n0 <= 1e-12:
-        raise ValueError("zero element cannot span a plane")
-    a = x_arr / n0
-    c = float(y_arr @ a)
-    b_pre = y_arr - c * a
-    n1 = _norm(b_pre)
-    if n1 <= 1e-12:
-        raise ValueError("elements are linearly dependent")
-    seed = np.array([[1.0 / n0, 0.0], [-c / (n0 * n1), 1.0 / n1]])
-    return np.array([x_arr, y_arr]), seed
-
-
 def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
-    """Reduce a commuting independent pair in m to its canonical family.
+    """Reduce a commuting pair to its canonical family.
 
-    Raises ValueError for input outside the domain (not in m, not
-    commuting, not independent) and CanonicalizationError when a guard of
-    the reduction meets a degenerate configuration or the witness does not
-    reconstruct the input to 1e-8 times its scale.
+    Raises TangentPlane's ValueError outside its domain (in m, nonzero,
+    independent), ValueError for a pair that does not commute, and
+    CanonicalizationError when a guard meets a degenerate configuration or
+    the witness matrix, fitted by least squares against the canonical rows
+    turned by the witness angle, does not reconstruct the input to 1e-8
+    times its scale.
     """
-    if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
-        raise ValueError("canonical form is defined for planes inside m")
+    ortho = TangentPlane(x, y).orthonormalized()
     if not is_commuting_pair(x, y):
         raise ValueError("the pair does not commute")
-    raw, seed = _orthonormalize_with_mix(x.data, y.data)
+    raw = np.array([x.data, y.data])
     scale = max(1.0, float(np.abs(raw).max()))
 
-    red = _Reduction(raw, seed)
+    red = _Reduction(np.array([ortho.x.data, ortho.y.data]))
     u_svals = np.linalg.svd(red.us(), compute_uv=False)
     urank = int(np.sum(u_svals > _RANK_TOL))
     family, params = (_reduce_case1, _reduce_case2, _reduce_case3)[urank](red)
 
     canonical = _canonical_rows(family, params)
+    angle = -red.theta % math.pi
+    turned = np.array(_ad_h_rows(angle, canonical))
     result = CartanClassification(
         family=family,
         parameters=params,
         canonical_x=SpElement.from_array(canonical[0]),
         canonical_y=SpElement.from_array(canonical[1]),
-        witness_angle=-red.theta % math.pi,
-        witness_matrix=np.linalg.inv(red.amat),
+        witness_angle=angle,
+        witness_matrix=np.linalg.lstsq(turned.T, raw.T, rcond=None)[0].T,
     )
     rx, ry = result.reconstruct()
     err = max(float(np.abs(rx.data - x.data).max()),

@@ -386,8 +386,8 @@ def run_lemma0_suite(seed: int, samples: int = 10000, *,
 class Lemma1Verdict(NamedTuple):
     """Classification record for one sampled commuting plane.
 
-    ``x`` and ``y`` are the orthonormalized spanning vectors actually
-    used for the jet, so any verdict can be replayed directly.
+    ``x`` and ``y`` are the plane orthonormalized once; the jet and the
+    distance are taken on them orthonormalized again, as classify_plane does.
     """
 
     plane_id: int

@@ -8,6 +8,7 @@ from sp2curv import (
     E1,
     E2,
     E3,
+    CanonicalizationError,
     SpElement,
     ad_h,
     canonicalize,
@@ -197,6 +198,34 @@ def test_canonicalize_rejects_bad_input():
         canonicalize(x, element(v=2.0 * E1))
     with pytest.raises(ValueError):
         canonicalize(element(lam=1.0, v=E1), element(w=E2))
+    with pytest.raises(ValueError):
+        canonicalize(element(), x)
+    # Commuting, but TangentPlane calls the pair dependent (1 - cos^2 ~ 1e-14).
+    with pytest.raises(ValueError):
+        canonicalize(x, element(v=E1, w=1e-7 * E2))
+
+
+# Reductions per 100 near_orbit_plane draws with rng [77, k] at
+# delta = 10^-(k + 2), k = 0..5: the floor the reduction holds today.
+NEAR_ORBIT_FLOOR = (100, 100, 95, 22, 2, 16)
+
+
+def test_near_orbit_reduction_floor():
+    for k, floor in enumerate(NEAR_ORBIT_FLOOR):
+        rng = np.random.default_rng([77, k])
+        reduced = 0
+        for _ in range(100):
+            x, y = near_orbit_plane(rng, 10.0 ** -(k + 2))
+            try:
+                cls = canonicalize(SpElement.from_array(x),
+                                   SpElement.from_array(y))
+            except CanonicalizationError:
+                continue
+            rx, ry = cls.reconstruct()
+            scale = max(1.0, np.abs([x, y]).max())
+            assert np.abs([rx.data - x, ry.data - y]).max() <= 1e-8 * scale
+            reduced += 1
+        assert reduced >= floor, (k, reduced)
 
 
 # ---- the distinguished orbit ----
