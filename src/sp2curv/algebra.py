@@ -61,6 +61,9 @@ E3 = np.array([0.0, 0.0, 1.0])
 for _e in (E1, E2, E3):
     _e.setflags(write=False)
 
+_IN_M_TOL = 1e-9  # in_m's bound on |lam|, relative to max|x|
+_ANTI_HERMITIAN_TOL = 1e-8  # is_anti_hermitian's, relative to max(1, max|entry|)
+
 
 class SpElement:
     """One element of sp(2), stored as a flat read-only float64 array.
@@ -90,12 +93,12 @@ class SpElement:
         out.data = copy
         return out
 
-    def in_m(self, tol: float = 1e-12) -> bool:
-        """True if the element lies in the tangent model m (lam = 0)."""
+    def in_m(self) -> bool:
+        """True if the element lies in the tangent model m: |lam| is at
+        most 1e-9 times the largest |coordinate|.  A zero lam passes
+        whatever the other coordinates are, NaN or inf."""
         lam = abs(self.data[0])
-        if lam == 0.0 and tol > 0.0:  # passes at any scale, NaN or inf
-            return True
-        return lam <= tol * max(1.0, float(np.abs(self.data).max()))
+        return lam == 0.0 or lam <= _IN_M_TOL * float(np.abs(self.data).max())
 
     # Kept only for perfbench's known_recheck_defect, which goes with the
     # Wilking unit-scale defect (ROADMAP item 2).
@@ -256,7 +259,7 @@ def ad_h(angle: float, x: SpElement) -> SpElement:
 
     Only defined on m; raises if x has a lam component.
     """
-    if not x.in_m(tol=1e-9):
+    if not x.in_m():
         raise ValueError("ad_h is only defined on m (lam must vanish)")
     return SpElement.from_array(_ad_h_arr(angle, x.data))
 
@@ -326,10 +329,10 @@ class QuatMatrix(NamedTuple):
         """-Re trace: a float, or a column for batched matrices."""
         return -(self.a.w + self.d.w)
 
-    def is_anti_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_anti_hermitian(self) -> bool:
         """True if every matrix held passes, each at its own scale."""
         scale = np.maximum(1.0, np.abs([comp for q in self for comp in q]).max(axis=0))
-        bound = tol * scale
+        bound = _ANTI_HERMITIAN_TOL * scale
         residual = self.c + self.b.conjugate()
         return bool(np.all([np.abs(comp) <= bound
                             for comp in (self.a.w, self.d.w, *residual)]))
@@ -358,13 +361,13 @@ def to_matrix(x) -> QuatMatrix:
     )
 
 
-def from_matrix(m: QuatMatrix, tol: float = 1e-10):
+def from_matrix(m: QuatMatrix):
     """Inverse of to_matrix; rejects matrices that are not anti-Hermitian.
 
     Column matrices give back an (n, 10) array, and are rejected if any
     one of them fails.
     """
-    if not m.is_anti_hermitian(tol=tol):
+    if not m.is_anti_hermitian():
         raise ValueError("matrix is not anti-Hermitian within tolerance")
     lam = m.b.w - m.c.w
     v = (m.b.x + m.c.x, m.b.y + m.c.y, m.b.z + m.c.z)
@@ -377,7 +380,7 @@ def from_matrix(m: QuatMatrix, tol: float = 1e-10):
 
 def bracket_oracle(x: SpElement, y: SpElement) -> SpElement:
     """Bracket evaluated in the matrix model: from_matrix([X, Y])."""
-    return from_matrix(to_matrix(x).commutator(to_matrix(y)), tol=1e-8)
+    return from_matrix(to_matrix(x).commutator(to_matrix(y)))
 
 
 def bi_inner_trace_form(x: SpElement, y: SpElement) -> float:

@@ -62,12 +62,12 @@ _RESIDUAL_TOL = 1e-7
 _M_BASIS_BRACKET = (_BR_J[..., None] == np.arange(1, 10)) * _BR_SIGN[..., None]
 
 
-def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
+def centralizer_in_m(x: SpElement) -> np.ndarray:
     """Orthonormal basis, as (dim, 10) rows, of {y in m : [x, y] = 0}.
 
     The bracket with x is a linear map from m (9 coordinates) into the full
     algebra (10 coordinates); the centralizer is its nullspace, read off
-    from the singular values below tol times the largest one.
+    from the singular values below 1e-8 times the largest one.
     """
     terms = x.data[_BR_I][..., None] * _M_BASIS_BRACKET
     matrix = terms[0]
@@ -75,7 +75,7 @@ def centralizer_in_m(x: SpElement, tol: float = _RANK_TOL) -> np.ndarray:
         matrix += term
     _, svals, vt = np.linalg.svd(matrix)
     svals = svals.tolist()
-    cutoff = tol * (svals[0] if svals[0] > 0.0 else 1.0)
+    cutoff = _RANK_TOL * (svals[0] if svals[0] > 0.0 else 1.0)
     null9 = vt[sum(s > cutoff for s in svals):]
     out = np.zeros((null9.shape[0], 10))
     out[:, 1:] = null9
@@ -134,9 +134,9 @@ class _Reduction:
         return self.rows[:, 7:10]
 
 
-def _first_nonzero_sign(vec: np.ndarray, tol: float = 1e-8) -> float:
+def _first_nonzero_sign(vec: np.ndarray) -> float:
     for c in vec:
-        if abs(c) > tol:
+        if abs(c) > 1e-8:
             return 1.0 if c > 0.0 else -1.0
     return 1.0
 

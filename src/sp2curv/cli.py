@@ -77,10 +77,10 @@ def _null(value):
 
 
 def _vector(text: str) -> SpElement:
-    """Parse a comma separated element; 10 reals, or 9 for the m part."""
+    """Parse a comma separated element; 10 finite reals, or 9 for the m part."""
     try:
-        parts = [float(p) for p in text.replace(" ", "").split(",") if p]
-    except ValueError as exc:
+        parts = [_finite(p) for p in text.replace(" ", "").split(",") if p]
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"could not parse vector {text!r}: {exc}") from None
     if len(parts) == 9:
         parts = [0.0] + parts
@@ -136,8 +136,8 @@ def _run_oracle(cfg):
 
 def _run_lemma1(cfg):
     report = verify_lemma1(
-        cfg.seed, cfg.samples, family=cfg.family,
-        adversarial_only=cfg.adversarial, **_tol(cfg, "c2_tol"))
+        cfg.seed, cfg.samples, draw="adversarial" if cfg.adversarial else cfg.family,
+        **_tol(cfg, "c2_tol"))
     generic_c2 = [v.c2 for v in report.verdicts
                   if v.classification == "GENERIC_POSITIVE"]
     special_c2 = [abs(v.c2) for v in report.verdicts if v.special_orbit]
@@ -278,11 +278,8 @@ def _run_classify(cfg):
                                  "canonical_y", "witness_angle",
                                  "witness_matrix"))
         results["canonicalization_error"] = str(exc)
-    deformation = reference_deformation()
-    label, special, distance, c2, c3 = classify_plane(
-        plane, deformation=deformation, **_tol(cfg, "orbit_tol"))
-    ortho = plane.orthonormalized()
-    jet = numerator_jet(deformation, ortho)
+    label, special, distance, c2, c3 = classify_plane(plane, **_tol(cfg, "orbit_tol"))
+    jet = numerator_jet(reference_deformation(), plane.orthonormalized())
     results.update({
         "special_orbit": special,
         "orbit_distance": distance,
@@ -516,3 +513,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.exit(_USAGE_ERROR, f"sp2curv: error: {exc}\n")
     return 0 if passed else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

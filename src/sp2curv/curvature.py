@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SpElement, _bracket_arr, _bracket_list, _bracket_rows, _norm
+from .algebra import _IN_M_TOL, SpElement, _bracket_arr, _bracket_list, _bracket_rows, _norm
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -72,7 +72,7 @@ class TangentPlane:
     __slots__ = ("x", "y")
 
     def __init__(self, x: SpElement, y: SpElement):
-        if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
+        if not (x.in_m() and y.in_m()):
             raise ValueError("plane vectors must lie in m")
         nx = math.sqrt(x.data.dot(x.data))
         ny = math.sqrt(y.data.dot(y.data))
@@ -101,9 +101,9 @@ def _check_plane_rows(x: np.ndarray, y: np.ndarray) -> None:
     Each comparison is the one TangentPlane makes, so a NaN passes or
     fails as it does there.
     """
-    def in_m(a):
-        # SpElement.in_m(tol=1e-9); np.fmax skips a NaN as max() does.
-        return np.abs(a[:, 0]) <= 1e-9 * np.fmax(1.0, np.abs(a).max(axis=1))
+    def in_m(a):  # SpElement.in_m
+        lam = np.abs(a[:, 0])
+        return (lam == 0.0) | (lam <= _IN_M_TOL * np.abs(a).max(axis=1))
 
     if not np.all(in_m(x) & in_m(y)):
         raise ValueError("plane vectors must lie in m")
@@ -293,7 +293,7 @@ def _sectional_curvature_rows(rings: list, x: np.ndarray, y: np.ndarray) -> np.n
 
 def u_tensor(m: DeformedMetric, x: SpElement, y: SpElement) -> SpElement:
     """U(X,Y) = 1/2 M^{-1} ([X, MY] + [Y, MX])_m, symmetric in (x, y)."""
-    if not (x.in_m(tol=1e-9) and y.in_m(tol=1e-9)):
+    if not (x.in_m() and y.in_m()):
         raise ValueError("u_tensor arguments must lie in m")
     ring = _metric_ring(m)
     a, b = x.data[None], y.data[None]
@@ -469,11 +469,11 @@ def numerator_jet(d: MetricDeformation, plane: TangentPlane) -> np.ndarray:
     return jet
 
 
-def is_commuting_pair(x: SpElement, y: SpElement, rel_tol: float = COMMUTING_REL_TOL) -> bool:
-    """True when |[x, y]| <= rel_tol * |x| * |y|."""
+def is_commuting_pair(x: SpElement, y: SpElement) -> bool:
+    """True when |[x, y]| <= COMMUTING_REL_TOL * |x| * |y|."""
     br = _bracket_arr(x.data, y.data)
     scale = math.sqrt((x.data @ x.data) * (y.data @ y.data))
-    return _norm(br) <= rel_tol * scale
+    return _norm(br) <= COMMUTING_REL_TOL * scale
 
 
 def _closed_form_rows(lam9: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

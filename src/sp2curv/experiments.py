@@ -65,7 +65,6 @@ from .curvature import (
 )
 from .metric import (
     DeformedMetric,
-    MetricDeformation,
     _EIG_FLOOR,
     _metric_blocks,
     _metric_ops,
@@ -202,7 +201,7 @@ def run_oracle_suite(seed: int, samples: int = 10000, *, tol: float = 1e-12,
         mx = to_matrix(xs)
         my = to_matrix(ys)
         xy = mx @ my
-        diff = from_matrix(xy - (my @ mx), tol=1e-8)
+        diff = from_matrix(xy - (my @ mx))
         # The batched bracket of the curvature scans meets the same
         # commutator, all pairs of the chunk at once.
         rows_err = np.max(np.abs(diff - _bracket_rows(xs, ys)))
@@ -304,24 +303,20 @@ _ADVERSARIAL = (("transverse", _adversarial_transverse),
                 ("on_orbit", _adversarial_on_orbit))
 
 
-def sample_commuting_plane(seed: int, index: int, *,
-                           family: str | None = None,
-                           adversarial_only: bool = False):
+def sample_commuting_plane(seed: int, index: int, *, draw: str | None = None):
     """Draw one commuting plane, returning (plane, family, kind).
 
-    The default mix cycles the four canonical families and, every fifth
-    draw, an adversarial sample near the distinguished orbit.  ``kind``
-    is ``uniform``, ``transverse``, ``centralizer`` or ``on_orbit``.
-    Passing ``family`` restricts to that family; ``adversarial_only``
-    draws only orbit-adjacent planes.  The two exclude each other.
+    ``draw`` None is the default mix: it cycles the four canonical
+    families and, every fifth draw, an adversarial sample near the
+    distinguished orbit.  ``draw`` "F1" to "F4" restricts to that family,
+    and "adversarial" draws only orbit-adjacent planes.  ``kind`` is
+    ``uniform``, ``transverse``, ``centralizer`` or ``on_orbit``.
     """
-    if family is not None and adversarial_only:
-        raise ValueError("family and adversarial_only exclude each other")
     rng = np.random.default_rng([seed, 1, index])
-    if family is None and (adversarial_only or index % 5 == 4):
-        kind, draw = _ADVERSARIAL[(index // 5) % 3]
-        return TangentPlane(*draw(rng)), "F1", kind
-    s = sample_cartan(family or _FAMILIES[index % 5], rng)
+    if draw == "adversarial" or (draw is None and index % 5 == 4):
+        kind, make = _ADVERSARIAL[(index // 5) % 3]
+        return TangentPlane(*make(rng)), "F1", kind
+    s = sample_cartan(_FAMILIES[index % 5] if draw is None else draw, rng)
     return TangentPlane(s.x, s.y), s.family, "uniform"
 
 
@@ -433,36 +428,31 @@ def _dichotomy_codes(distance, c2, c3, c2_tol: float, orbit_tol: float):
     return generic + 2 * degenerate
 
 
-def classify_plane(plane: TangentPlane, *,
-                   deformation: MetricDeformation | None = None,
-                   c2_tol: float = C2_TOL,
-                   orbit_tol: float = SPECIAL_ORBIT_TOL):
+def classify_plane(plane: TangentPlane, *, orbit_tol: float = SPECIAL_ORBIT_TOL):
     """Dichotomy test for one commuting plane.
 
     Returns ``(classification, special, distance, c2, c3)`` computed on
-    the orthonormalized plane with the reference deformation (or the
-    one supplied).  Generic planes must show c2 > 0; planes on the
-    distinguished orbit must instead have vanishing c2 and a cubic
-    coefficient of magnitude one.  Anything else is a violation.
+    the orthonormalized plane with the reference deformation, whose
+    forced commuting orbit is that of the distinguished plane.  Generic
+    planes must show c2 > C2_TOL; planes on the distinguished orbit must
+    instead have vanishing c2 and a cubic coefficient of magnitude one.
+    Anything else is a violation.
     """
     if not is_commuting_pair(plane.x, plane.y):
         raise ValueError("classify_plane requires a commuting plane")
-    if deformation is None:
-        deformation = reference_deformation()
     ortho = plane.orthonormalized()
     distance, _ = special_orbit_distance(ortho.x, ortho.y)
-    jet = numerator_jet(deformation, ortho)
+    jet = numerator_jet(reference_deformation(), ortho)
     c2, c3 = float(jet[2]), float(jet[3])
-    label = _LABELS[_dichotomy_codes(distance, c2, c3, c2_tol, orbit_tol)]
+    label = _LABELS[_dichotomy_codes(distance, c2, c3, C2_TOL, orbit_tol)]
     return label, distance <= orbit_tol, distance, c2, c3
 
 
-def verify_lemma1(seed: int, n_samples: int = 10000, *,
-                  deformation: MetricDeformation | None = None,
-                  family: str | None = None,
-                  adversarial_only: bool = False,
+def verify_lemma1(seed: int, n_samples: int = 10000, *, draw: str | None = None,
                   c2_tol: float = C2_TOL) -> Lemma1Report:
-    """Run the dichotomy over a mixed sample of commuting planes.
+    """Run the dichotomy over commuting planes drawn by
+    sample_commuting_plane (``draw`` as there), under the reference
+    deformation.
 
     Every plane must come out GENERIC_POSITIVE or DEGENERATE_CUBIC;
     each DEGENERATE_CUBIC verdict must carry a cubic coefficient of
@@ -476,14 +466,11 @@ def verify_lemma1(seed: int, n_samples: int = 10000, *,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     start = time.perf_counter()
-    if deformation is None:
-        deformation = reference_deformation()
     # spans[i, 0] is the plane a verdict records, spans[i, 1] the one measured.
     spans = np.empty((n_samples, 2, 2, 10))
     families, kinds = [], []
     for i in range(n_samples):
-        plane, fam, kind = sample_commuting_plane(
-            seed, i, family=family, adversarial_only=adversarial_only)
+        plane, fam, kind = sample_commuting_plane(seed, i, draw=draw)
         plane = plane.orthonormalized()
         if not is_commuting_pair(plane.x, plane.y):
             raise ValueError("classify_plane requires a commuting plane")
@@ -494,7 +481,7 @@ def verify_lemma1(seed: int, n_samples: int = 10000, *,
         kinds.append(kind)
     x, y = spans[:, 1, 0], spans[:, 1, 1]
     _, _, c2, c3, _ = _numerator_jet_rows(
-        deformation.matrix9[None], np.zeros(n_samples, dtype=int), x, y)
+        reference_deformation().matrix9[None], np.zeros(n_samples, dtype=int), x, y)
     distance, _ = _orbit_distance_rows(x, y)
     codes = _dichotomy_codes(distance, c2, c3, c2_tol, SPECIAL_ORBIT_TOL)
     special = distance <= SPECIAL_ORBIT_TOL
@@ -560,16 +547,15 @@ class Theorem1Report(NamedTuple):
     passed: bool
 
 
-def measure_sigma(deformation: MetricDeformation | None = None):
-    """Deformation sign that makes the distinguished cubic positive.
+def measure_sigma():
+    """Sign of the reference deformation that makes the distinguished
+    cubic positive.
 
     The numerator jet on the distinguished plane is pure cubic with
     coefficient of magnitude one; sigma is the sign that turns it
     positive for small t of that sign.
     """
-    if deformation is None:
-        deformation = reference_deformation()
-    jet = numerator_jet(deformation, special_plane())
+    jet = numerator_jet(reference_deformation(), special_plane())
     c2, c3 = float(jet[2]), float(jet[3])
     if abs(c2) > C2_TOL or abs(abs(c3) - 1.0) > C3_UNIT_TOL:
         raise ArithmeticError(
@@ -583,9 +569,9 @@ _FRONTIER_GRID = tuple(0.5 * 0.8 ** k for k in range(14))
 
 def verify_theorem1(seed: int, n_samples: int = 10000,
                     t_values=(0.001, 0.01), *,
-                    deformation: MetricDeformation | None = None,
                     pos_tol: float = 0.0) -> Theorem1Report:
-    """Scan sectional curvature over commuting planes at small times.
+    """Scan sectional curvature over commuting planes at small times of
+    the reference deformation.
 
     For each requested magnitude |t| the scan runs at t = sigma * |t|
     and requires the minimum curvature to be positive (t = 0 is allowed
@@ -596,10 +582,9 @@ def verify_theorem1(seed: int, n_samples: int = 10000,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if deformation is None:
-        deformation = reference_deformation()
+    deformation = reference_deformation()
     start = time.perf_counter()
-    sigma, c3 = measure_sigma(deformation)
+    sigma, c3 = measure_sigma()
     # The requested and the frontier grid's metrics, stacked, before any
     # sampling: a requested t that is not positive definite raises.
     requested = [sigma * abs(float(t)) for t in t_values]
@@ -688,6 +673,7 @@ class WilkingCertificate(NamedTuple):
 
 
 _WILKING_CASES = ("u_eigenvector", "vw_aligned", "vw_generic")
+_RECHECK_TOL = 1e-9  # the recheck's relative tolerance
 
 
 def _signed_rows(v: np.ndarray) -> np.ndarray:
@@ -789,9 +775,8 @@ def wilking_pair(metric: DeformedMetric) -> WilkingCertificate:
 
 
 def verify_wilking_inequalities(metric: DeformedMetric,
-                                cert: WilkingCertificate, *,
-                                tol: float = 1e-9) -> bool:
-    """Recheck every step of the nonpositivity estimate numerically.
+                                cert: WilkingCertificate) -> bool:
+    """Recheck every step of the nonpositivity estimate numerically, at 1e-9.
 
     The chain: w = [x, y] stays inside m; the metric satisfies
     [x, My] + [y, Mx] = -lam [x, y]; the numerator collapses to three
@@ -802,7 +787,7 @@ def verify_wilking_inequalities(metric: DeformedMetric,
     x, z, y = (np.array([v], dtype=float) for v in (cert.x, cert.z, cert.y))
     residuals, bounds = _wilking_recheck(
         ring, x, z, y, np.array([cert.smallest_eigenvalue]),
-        _six_terms(ring, x, y), np.array([cert.k_value]), tol)
+        _six_terms(ring, x, y), np.array([cert.k_value]), _RECHECK_TOL)
     return bool(np.all(residuals <= bounds))
 
 
@@ -823,14 +808,14 @@ class WilkingReport(NamedTuple):
 
 def _wilking_verdicts(triples: list, tol: float):
     """The rows of the triples read as metrics, the recheck's residuals
-    and bounds at 1e-9, and the (n,) pass mask."""
+    and bounds at _RECHECK_TOL, and the (n,) pass mask."""
     op_a, op_b6, inv_a, inv_b6 = _metric_blocks(
         np.array([t.A for t in triples]) - np.eye(3),
         np.array([t.block6 for t in triples]) - np.eye(6), 1.0)
     ring = _RowsRing(op_a, op_b6, inv_a, inv_b6)
     rows = _wilking_rows(op_a, op_b6, ring)
     x, z, y, k, c, lam, _ = rows
-    residuals, bounds = _wilking_recheck(ring, x, z, y, lam, c, k, 1e-9)
+    residuals, bounds = _wilking_recheck(ring, x, z, y, lam, c, k, _RECHECK_TOL)
     ok = (k <= tol) & (residuals[:, 0] <= tol) & np.all(residuals <= bounds, axis=1)
     return rows, residuals, bounds, ok
 

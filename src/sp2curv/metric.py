@@ -92,10 +92,11 @@ class MetricDeformation:
         """The symmetric 6x6 block (C -B; B C) acting on (v, w)."""
         return self.matrix9[3:9, 3:9]
 
-    def is_positive_definite(self, threshold: float = _EIG_FLOOR) -> bool:
-        """Positivity of M: block-diagonal matrix9's smallest eigenvalue.
-        eigvalsh reads one triangle only, so a NaN entry rules M out first."""
-        return not self._has_nan and bool(np.linalg.eigvalsh(self.matrix9)[0] > threshold)
+    def is_positive_definite(self) -> bool:
+        """Positivity of M: block-diagonal matrix9's smallest eigenvalue is
+        above 1e-9.  eigvalsh reads one triangle only, so a NaN entry rules
+        M out first."""
+        return not self._has_nan and bool(np.linalg.eigvalsh(self.matrix9)[0] > _EIG_FLOOR)
 
     def as_metric(self) -> "DeformedMetric":
         """Read the triple as the metric M itself: t = 1 with L = M - I."""
@@ -172,7 +173,7 @@ class DeformedMetric:
 def _block_act(a3: np.ndarray, b6: np.ndarray, x: SpElement) -> SpElement:
     """The operator that is the identity on h, a3 on u and b6 on (v, w),
     applied to x in m."""
-    if not x.in_m(tol=1e-9):
+    if not x.in_m():
         raise ValueError("the metric is only defined on m")
     out = np.empty(10)
     out[0] = x.data[0]
@@ -214,17 +215,17 @@ def random_deformation(seed) -> MetricDeformation:
     return _random_triple(as_generator(seed), *_DEFORMATION_BOUNDS, 6)
 
 
-def random_admissible_metric(seed, max_attempts: int = 1000) -> MetricDeformation:
+def random_admissible_metric(seed) -> MetricDeformation:
     """Random metric operator triple, rejection-sampled to positivity.
 
     Diagonals of A and C are uniform in [0.3, 1.7], their off-diagonals in
     [-0.4, 0.4]; B entries are uniform in [-0.6, 0.6], the same scale as the
     C off-diagonals, so the antisymmetric coupling is routinely comparable
     to the symmetric one.  Rejects until both metric blocks pass the
-    positivity validator.  Deterministic per seed.
+    positivity validator, for at most 1000 attempts.  Deterministic per seed.
     """
     rng = as_generator(seed)
-    for _ in range(max_attempts):
+    for _ in range(1000):
         triple = _random_triple(rng, *_ADMISSIBLE_BOUNDS, 12)
         if triple.is_positive_definite():
             return triple

@@ -318,7 +318,7 @@ def test_cancelling_plane_on_the_orbit_is_labelled_on_orbit():
     # The 2x2 t0 block's closed-form singular values cancel on this
     # adversarial plane and would read 6.9e-5, a false VIOLATION; the
     # residual's SVD reads its sines directly.
-    plane = sample_commuting_plane(0, 1751, adversarial_only=True)[0]
+    plane = sample_commuting_plane(0, 1751, draw="adversarial")[0]
     label, special, d, _, _ = classify_plane(plane.orthonormalized())
     assert d <= SPECIAL_ORBIT_TOL
     assert special and label == "DEGENERATE_CUBIC"

@@ -214,10 +214,10 @@ def _in_process(capsys, argv):
     return code, _without_timing(captured.out), captured.err
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, module="sp2curv"):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sp2curv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "sp2curv", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, check=False)
     return done.returncode, _without_timing(done.stdout), done.stderr
 
@@ -345,6 +345,24 @@ def test_classify_rejects_unparseable_reals(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "a,b,c,d,e,f,g,h,i", T0_Y])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e999"])
+def test_classify_rejects_non_finite_entries(capsys, entry):
+    # A NaN entry read as a number failed later as "do not commute".
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "0," + entry + ",0,0,0,0,0,0,0", "0,0,0,1,0,0,0,0,0"])
+    assert exc.value.code == 2
+    assert f"not a finite number: {entry!r}" in capsys.readouterr().err
+
+
+def test_python_m_sp2curv_cli_runs_main():
+    # Without its __main__ guard the module ran nothing and exited 0.
+    code, _, err = _fresh_process(["classify", "1,0,0,0,1,0,0,0,0",
+                                   "0,1,0,0,0,0,0,0,0"], "sp2curv.cli")
+    assert code == 2 and "do not commute" in err
+    code, out, _ = _fresh_process(["oracle", "--samples", "5"], "sp2curv.cli")
+    assert code == 0 and json.loads(out)["results"]["samples"] == 5
 
 
 # ---- output formats ----

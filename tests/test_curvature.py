@@ -54,6 +54,28 @@ def test_tangent_plane_validation():
         TangentPlane(element(), element(v=E1))
 
 
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError as exc:
+        assert str(exc) == "plane vectors must lie in m"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ratio, inside", [(0.5e-9, True), (1.05e-9, False)])
+def test_in_m_verdict_does_not_depend_on_scale(ratio, inside):
+    # |lam| is bounded relative to max|x|, so a plane and its normalized
+    # form get one verdict, at every scale; y is orthogonal to x.
+    for scale in (1e-3, 1.0, 1e3):
+        x = element(lam=0.9 * ratio * scale, u=(0.9 * scale, 0, 0))
+        y = element(u=(0, 10.0 * scale, 0), v=(scale, 0, 0))
+        assert _accepts(lambda: TangentPlane(x, y)) == inside, scale
+        if inside:
+            assert _accepts(lambda: TangentPlane(x, y).orthonormalized()), scale
+        assert _accepts(lambda: _orthonormal_rows(x.data[None], y.data[None])) == inside
+
+
 def test_orthonormalized_plane():
     plane = TangentPlane(element(v=3.0 * E1), element(v=E1, w=E2))
     ortho = plane.orthonormalized()

@@ -164,26 +164,18 @@ def test_sample_commuting_plane_mix():
 
 def test_sample_commuting_plane_family_override():
     for i in range(8):
-        _, family, kind = sample_commuting_plane(6, i, family="F3")
+        _, family, kind = sample_commuting_plane(6, i, draw="F3")
         assert family == "F3"
         assert kind == "uniform"
-    with pytest.raises(ValueError):
-        sample_commuting_plane(6, 0, family="F9")
+    for draw in ("F9", "uniform"):
+        with pytest.raises(ValueError):
+            sample_commuting_plane(6, 0, draw=draw)
 
 
 def test_sample_commuting_plane_adversarial_only():
-    kinds = {sample_commuting_plane(6, i, adversarial_only=True)[2]
+    kinds = {sample_commuting_plane(6, i, draw="adversarial")[2]
              for i in range(15)}
     assert kinds == {"transverse", "centralizer", "on_orbit"}
-
-
-@pytest.mark.parametrize("family", ["F1", "F2", "F4"])
-def test_family_and_adversarial_only_exclude_each_other(family):
-    # A family draw would drop adversarial_only without a word.
-    with pytest.raises(ValueError, match="exclude each other"):
-        sample_commuting_plane(6, 4, family=family, adversarial_only=True)
-    with pytest.raises(ValueError, match="exclude each other"):
-        verify_lemma1(6, 5, family=family, adversarial_only=True)
 
 
 # ---- classification ----
@@ -300,7 +292,7 @@ def test_lemma1_small_run():
 
 
 def test_lemma1_family_restriction():
-    report = verify_lemma1(7, 40, family="F4")
+    report = verify_lemma1(7, 40, draw="F4")
     assert report.passed
     assert set(report.family_counts) == {"F4"}
     # No F4 plane lies on the orbit, so that margin has no plane to read.
@@ -309,7 +301,7 @@ def test_lemma1_family_restriction():
 
 
 def test_lemma1_adversarial_only():
-    report = verify_lemma1(7, 45, adversarial_only=True)
+    report = verify_lemma1(7, 45, draw="adversarial")
     assert report.passed
     assert "uniform" not in report.kind_counts
     assert report.classification_counts.get("DEGENERATE_CUBIC", 0) > 0
@@ -355,7 +347,7 @@ def _verdict_bits(report):
 
 
 @pytest.mark.parametrize(
-    "sampler", [{}, {"family": "F4"}, {"adversarial_only": True}],
+    "sampler", [{}, {"draw": "F4"}, {"draw": "adversarial"}],
     ids=["mix", "F4", "adversarial"])
 def test_lemma1_rows_do_not_depend_on_the_stack(sampler, monkeypatch):
     report = verify_lemma1(7, 150, **sampler)

@@ -39,7 +39,7 @@ def _ref_oracle(seed, samples, tol=1e-12):
         mx = to_matrix(pairs[:, 0])
         my = to_matrix(pairs[:, 1])
         xy = mx @ my
-        diff = from_matrix(xy - (my @ mx), tol=1e-8)
+        diff = from_matrix(xy - (my @ mx))
         rows_err = np.max(np.abs(diff - _bracket_rows(pairs[:, 0], pairs[:, 1])))
         traces = xy.minus_re_trace().tolist()
         for k, (xa, ya) in enumerate(pairs):
