@@ -61,7 +61,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 for _e in (E1, E2, E3):
     _e.setflags(write=False)
 
-_IN_M_TOL = 1e-9  # in_m's bound on |lam|, relative to max|x|
 _ANTI_HERMITIAN_TOL = 1e-8  # is_anti_hermitian's, relative to max(1, max|entry|)
 
 
@@ -96,9 +95,11 @@ class SpElement:
     def in_m(self) -> bool:
         """True if the element lies in the tangent model m: |lam| is at
         most 1e-9 times the largest |coordinate|.  A zero lam passes
-        whatever the other coordinates are, NaN or inf."""
+        whatever the other coordinates are, NaN or inf; a NaN or infinite
+        lam never does."""
         lam = abs(self.data[0])
-        return lam == 0.0 or lam <= _IN_M_TOL * float(np.abs(self.data).max())
+        return lam == 0.0 or (lam < math.inf
+                              and lam <= 1e-9 * float(np.abs(self.data).max()))
 
     # Kept only for perfbench's known_recheck_defect, which goes with the
     # Wilking unit-scale defect (ROADMAP item 2).

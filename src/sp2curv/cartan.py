@@ -391,12 +391,12 @@ def _reduce_case3(red: _Reduction) -> tuple:
 def canonicalize(x: SpElement, y: SpElement) -> CartanClassification:
     """Reduce a commuting pair to its canonical family.
 
-    Raises TangentPlane's ValueError outside its domain (in m, nonzero,
-    independent), ValueError for a pair that does not commute, and
-    CanonicalizationError when a guard meets a degenerate configuration or
-    the witness matrix, fitted by least squares against the canonical rows
-    turned by the witness angle, does not reconstruct the input to 1e-8
-    times its scale.
+    Raises TangentPlane's ValueError outside its domain, which it admits
+    once (in m, finite, nonzero, independent), ValueError for a pair that
+    does not commute, and CanonicalizationError when a guard meets a
+    degenerate configuration or the witness matrix, fitted by least squares
+    against the canonical rows turned by the witness angle, does not
+    reconstruct the input to 1e-8 times its scale.
     """
     ortho = TangentPlane(x, y).orthonormalized()
     if not is_commuting_pair(x, y):

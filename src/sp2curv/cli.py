@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -415,6 +416,9 @@ def _theorem1_arguments(p):
 
 
 def _classify_arguments(p):
+    # argparse takes "-0.5" but not "-0.5,1,..." for a negative number, not
+    # an option; widened, a vector is positional wherever it stands.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("x", help="first spanning vector, comma separated reals")
     p.add_argument("y", help="second spanning vector, comma separated reals")
     p.add_argument("--tol", type=_tolerance, default=None,

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _IN_M_TOL, SpElement, _bracket_arr, _bracket_list, _bracket_rows, _norm
+from .algebra import SpElement, _bracket_arr, _bracket_list, _bracket_rows, _norm
 from .metric import DeformedMetric, MetricDeformation
 
 __all__ = [
@@ -63,10 +63,10 @@ _JET_ORDER = 4
 
 
 class TangentPlane:
-    """An ordered pair of independent elements of m spanning a 2-plane.
-
-    Independence requires the Gram determinant of the unit-normalized pair
-    to exceed 1e-12.
+    """An ordered pair of independent elements of m spanning a 2-plane,
+    checked here only: both in m, finite (a squared norm that overflows
+    counts as infinite) and nonzero, and the Gram determinant of the
+    unit-normalized pair above 1e-12.
     """
 
     __slots__ = ("x", "y")
@@ -76,6 +76,8 @@ class TangentPlane:
             raise ValueError("plane vectors must lie in m")
         nx = math.sqrt(x.data.dot(x.data))
         ny = math.sqrt(y.data.dot(y.data))
+        if not (math.isfinite(nx) and math.isfinite(ny)):
+            raise ValueError("plane vectors must be finite")
         if nx == 0.0 or ny == 0.0:
             raise ValueError("plane vectors must be nonzero")
         cosine = float(x.data.dot(y.data)) / (nx * ny)
@@ -85,49 +87,25 @@ class TangentPlane:
         self.y = y
 
     def orthonormalized(self) -> "TangentPlane":
-        """Gram-Schmidt in the bi-invariant product, x direction first."""
+        """Gram-Schmidt in the bi-invariant product, x direction first, not
+        admitted again: its lam can reach |y.a|/|b| times in_m's bound."""
         a = self.x.data / math.sqrt(self.x.data.dot(self.x.data))
         b = self.y.data - self.y.data.dot(a) * a
         b = b / math.sqrt(b.dot(b))
-        return TangentPlane(SpElement.from_array(a), SpElement.from_array(b))
+        plane = object.__new__(TangentPlane)
+        plane.x, plane.y = SpElement.from_array(a), SpElement.from_array(b)
+        return plane
 
     def __repr__(self) -> str:
         return f"TangentPlane(x={self.x!r}, y={self.y!r})"
 
 
-def _check_plane_rows(x: np.ndarray, y: np.ndarray) -> None:
-    """TangentPlane's checks on every row of (n, 10) arrays x, y.
-
-    Each comparison is the one TangentPlane makes, so a NaN passes or
-    fails as it does there.
-    """
-    def in_m(a):  # SpElement.in_m
-        lam = np.abs(a[:, 0])
-        return (lam == 0.0) | (lam <= _IN_M_TOL * np.abs(a).max(axis=1))
-
-    if not np.all(in_m(x) & in_m(y)):
-        raise ValueError("plane vectors must lie in m")
-    nx = np.sqrt(_rows_dot(x, x))
-    ny = np.sqrt(_rows_dot(y, y))
-    if np.any((nx == 0.0) | (ny == 0.0)):
-        raise ValueError("plane vectors must be nonzero")
-    cosine = _rows_dot(x, y) / (nx * ny)
-    if np.any(1.0 - cosine * cosine <= 1e-12):
-        raise ValueError("plane vectors are linearly dependent")
-
-
 def _orthonormal_rows(x: np.ndarray, y: np.ndarray) -> tuple:
-    """TangentPlane(x[r], y[r]).orthonormalized() for every row, to the bit.
-
-    The rows taken and the rows given pass TangentPlane's checks, which
-    raise its ValueError.
-    """
-    _check_plane_rows(x, y)
+    """TangentPlane(x[r], y[r]).orthonormalized() for every row, to the bit,
+    unchecked: the rows are admitted planes or the baseline's normal draws."""
     a = x / np.sqrt(_rows_dot(x, x))[:, None]
     b = y - _rows_dot(y, a)[:, None] * a
-    b = b / np.sqrt(_rows_dot(b, b))[:, None]
-    _check_plane_rows(a, b)
-    return a, b
+    return a, b / np.sqrt(_rows_dot(b, b))[:, None]
 
 
 class CurvatureReport(NamedTuple):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from sp2curv import (
+    DeformedMetric,
     E1,
     E2,
     E3,
@@ -13,6 +14,8 @@ from sp2curv import (
     bracket,
     bracket_oracle,
     norm,
+    reference_deformation,
+    u_tensor,
 )
 from sp2curv.algebra import (
     _bracket_list,
@@ -37,6 +40,20 @@ def test_element_layout_and_repr():
 def test_membership_predicates():
     assert element(v=E1).in_m()
     assert not element(lam=1.0).in_m()
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_lam_is_not_in_m(lam):
+    # With an infinite coordinate, inf <= 1e-9 * inf once let inf pass.
+    x = element(lam=lam, w=(0.0, 0.0, np.inf))
+    assert not x.in_m()
+    metric = DeformedMetric(reference_deformation(), 0.01)
+    with pytest.raises(ValueError):
+        ad_h(0.3, x)
+    with pytest.raises(ValueError):
+        metric.apply(x)
+    with pytest.raises(ValueError):
+        u_tensor(metric, x, element(v=E1))
 
 
 # ---- frozen structure constants ----

@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -327,6 +328,45 @@ def test_classify_generic_pair(capsys):
     assert payload["results"]["classification"] == "GENERIC_POSITIVE"
     assert payload["results"]["family"] == "F2"
     assert payload["results"]["c2"] > 1e-10
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "json"], ["--tol", "1e-8"]])
+def test_classify_takes_vectors_with_a_negative_first_entry(capsys, options):
+    # argparse took "-0.0,..." for an option and exited 2, "y" missing.
+    x = "-0.0" + T0_X[1:]
+    found58 = [(4.5e-10, 0.9) + (0,) * 8, (0, 10, 0, 0, 1) + (0,) * 5]
+    witness = cli._witness(0, 0, *(-np.array(found58)))["classify_args"]
+    for args, x0 in (([x, T0_Y], -0.0), (witness, -4.5e-10),
+                     ([a.split(",", 1)[1] for a in witness], 0.0)):
+        for argv in (["classify", *options, *args], ["classify", *args, *options],
+                     ["classify", args[0], *options, args[1]]):
+            code, payload = run_json(capsys, argv)
+            assert code == 0, argv
+            got = payload["config"]["x"][0]
+            assert (got, math.copysign(1.0, got)) == (x0, math.copysign(1.0, x0))
+
+
+def test_classify_takes_admitted_planes_near_the_in_m_bound(capsys):
+    # Gram-Schmidt moves x's lam, up to 0.9e-9 max|x|, into y's direction,
+    # amplified by |y.a|/|b|; the pair was admitted, then rejected in its
+    # orthonormalized form, and classify exited 2 after accepting it.
+    pairs = [((4.5e-10, 0.9) + (0,) * 8, (0, 10, 0, 0, 1) + (0,) * 5)]
+    for ratio in (0.5e-9, 0.9e-9):
+        for q in (1.0, 10.0, 1e3):
+            for scale in (1e-3, 1.0, 1e3):
+                x = np.zeros(10)
+                y = np.zeros(10)
+                x[0], x[1] = ratio * scale, scale
+                y[1], y[4] = q * scale, scale
+                pairs.append((x, y))
+    for x, y in pairs:
+        plane = TangentPlane(SpElement.from_array(x), SpElement.from_array(y))
+        ortho = plane.orthonormalized()
+        assert abs(ortho.x.data @ ortho.y.data) <= 1e-15
+        code, payload = run_json(
+            capsys, ["classify", cli._classify_arg(x), cli._classify_arg(y)])
+        assert code in (0, 1), (x, y)
+        assert payload["command"] == "classify"
 
 
 def test_classify_rejects_non_commuting(capsys):

@@ -30,7 +30,6 @@ from sp2curv import (
 )
 from sp2curv.curvature import (
     _RowsRing,
-    _orthonormal_rows,
     _rows_dot,
     _rows_matvec,
     _sectional_curvature_rows,
@@ -73,7 +72,22 @@ def test_in_m_verdict_does_not_depend_on_scale(ratio, inside):
         assert _accepts(lambda: TangentPlane(x, y)) == inside, scale
         if inside:
             assert _accepts(lambda: TangentPlane(x, y).orthonormalized()), scale
-        assert _accepts(lambda: _orthonormal_rows(x.data[None], y.data[None])) == inside
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+def test_admission_rejects_a_non_finite_pair(value):
+    # A NaN or infinite entry outside lam, and a finite entry whose square
+    # overflows, make the pair non-finite; in_m alone passes them.
+    rng = np.random.default_rng(19)
+    good, bad = np.zeros((2, 10))
+    good[1:], bad[1:] = rng.normal(size=(2, 9))
+    bad[5] = value
+    good, bad = SpElement.from_array(good), SpElement.from_array(bad)
+    assert bad.in_m()
+    for x, y in ((good, bad), (bad, good)):
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="plane vectors must be finite"):
+            TangentPlane(x, y)
 
 
 def test_orthonormalized_plane():
@@ -492,35 +506,3 @@ def test_one_deformation_pool_is_shared_by_every_row(monkeypatch):
     assert shapes == [((1, 9, 9), (5, 1, 9, 9))]
     two = curvature._numerator_jet_rows(matrix9_stack([d, d]), np.arange(len(x)) % 2, x, y)
     np.testing.assert_array_equal(bits(one), bits(two))
-
-
-# ---- the rows Gram-Schmidt ----
-
-
-def _plane_or_error(x, y):
-    try:
-        plane = TangentPlane(SpElement.from_array(x),
-                             SpElement.from_array(y)).orthonormalized()
-    except ValueError as exc:
-        return str(exc)
-    return plane
-
-
-@pytest.mark.parametrize("case", ["dependent", "zero", "outside_m", "nan"])
-def test_rows_gram_schmidt_raises_like_tangent_plane(case):
-    rng = np.random.default_rng(19)
-    x, y = np.zeros((2, 6, 10))
-    x[:, 1:], y[:, 1:] = rng.normal(size=(2, 6, 9))
-    if case == "dependent":
-        y[3] = -2.0 * x[3]
-    elif case == "zero":
-        x[3] = 0.0
-    elif case == "outside_m":
-        y[3, 0] = 1e-3
-    else:
-        x[3, 5] = np.nan
-    message = _plane_or_error(x[3], y[3])
-    assert isinstance(message, str)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as exc:
-        _orthonormal_rows(x, y)
-    assert str(exc.value) == message

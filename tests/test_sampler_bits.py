@@ -434,7 +434,7 @@ _SPECIAL = [0.0, -0.0, 1e-12, -1e-10, 0.5, _NAN, _INF, -_INF]
 
 def _ref_in_m(data):
     lam = abs(data[0])
-    return lam == 0.0 or lam <= 1e-9 * float(np.abs(data).max())
+    return lam == 0.0 or (np.isfinite(lam) and lam <= 1e-9 * float(np.abs(data).max()))
 
 
 def _ref_plane_error(x, y):
@@ -442,6 +442,8 @@ def _ref_plane_error(x, y):
     if not (_ref_in_m(x) and _ref_in_m(y)):
         return "plane vectors must lie in m"
     nx, ny = float(np.sqrt(x @ x)), float(np.sqrt(y @ y))
+    if not (np.isfinite(nx) and np.isfinite(ny)):
+        return "plane vectors must be finite"
     if nx == 0.0 or ny == 0.0:
         return "plane vectors must be nonzero"
     cosine = float(x @ y) / (nx * ny)
