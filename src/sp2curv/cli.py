@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .algebra import SpElement
 from .cartan import CanonicalizationError, canonicalize
-from .curvature import TangentPlane, is_commuting_pair, numerator_jet
+from .curvature import TangentPlane, numerator_jet
 from .metric import reference_deformation
 from .experiments import (
     classify_plane,
@@ -274,7 +274,7 @@ def _run_classify(cfg):
                    "witness_angle": c.witness_angle,
                    "witness_matrix": c.witness_matrix}
     except CanonicalizationError as exc:
-        # Near the orbit the reduction can fail; the jet verdict stands.
+        # A plane the reduction cannot name still gets its jet verdict.
         results = dict.fromkeys(("family", "parameters", "canonical_x",
                                  "canonical_y", "witness_angle",
                                  "witness_matrix"))
@@ -416,9 +416,10 @@ def _theorem1_arguments(p):
 
 
 def _classify_arguments(p):
-    # argparse takes "-0.5" but not "-0.5,1,..." for a negative number, not
-    # an option; widened, a vector is positional wherever it stands.
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
+    # argparse reads "-0.5" as a number but "-0.5,1,..." and "-inf,..." as
+    # options; widened, a vector is positional wherever it stands, so a
+    # leading "-inf" is reported as not finite.
+    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
     p.add_argument("x", help="first spanning vector, comma separated reals")
     p.add_argument("y", help="second spanning vector, comma separated reals")
     p.add_argument("--tol", type=_tolerance, default=None,
@@ -472,9 +473,6 @@ def main(argv=None) -> int:
             args.y = _vector(args.y)
         except ValueError as exc:
             parser.exit(_USAGE_ERROR, f"sp2curv: error: {exc}\n")
-        if not is_commuting_pair(args.x, args.y):
-            parser.exit(_USAGE_ERROR,
-                        "sp2curv: error: the given vectors do not commute\n")
         config["x"] = [float(t) for t in args.x.data]
         config["y"] = [float(t) for t in args.y.data]
     else:

@@ -7,7 +7,11 @@ Run it from the root of each checkout, on one machine, and diff the outputs:
 A JSON report is hashed as the command prints it, less its
 ``timing_seconds``; a CSV report as printed; a suite's report as its repr,
 less ``elapsed_seconds``.  The ``classify`` line covers the 50 replay
-planes of the benchmark's ``jets`` workload, one report each.  No digest is
+planes of the benchmark's ``jets`` workload, one report each.  The
+``canonicalize`` line covers the first 1,000 default-mix planes of the
+seed, raw and orthonormalized: the family, the parameter names and the
+bits of the parameters, witness angle and witness matrix, or the message
+of what the call raised.  No digest is
 committed: numpy's BLAS picks its kernels per CPU, so two machines need
 not agree.  pytest does not collect this file.
 """
@@ -25,7 +29,9 @@ from types import SimpleNamespace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from sp2curv import cli, experiments  # noqa: E402
+import numpy as np  # noqa: E402
+
+from sp2curv import cartan, cli, experiments  # noqa: E402
 from perfbench.workloads import replay_planes  # noqa: E402
 
 
@@ -39,6 +45,24 @@ def _command(argv) -> str:
         del payload["timing_seconds"]
         text = json.dumps(payload, sort_keys=True, indent=2)
     return f"{code}\n{text}"
+
+
+def _canonicalize(seed: int) -> str:
+    """canonicalize on the seed's first 1,000 default-mix planes, as text."""
+    lines = []
+    for i in range(1000):
+        plane, _, _ = experiments.sample_commuting_plane(seed, i)
+        for p in (plane, plane.orthonormalized()):
+            try:
+                c = cartan.canonicalize(p.x, p.y)
+            except (ValueError, cartan.CanonicalizationError) as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+                continue
+            names = sorted(c.parameters)
+            values = np.hstack([*(c.parameters[k] for k in names),
+                                c.witness_angle, c.witness_matrix.ravel()])
+            lines.append(" ".join([c.family, *names, values.tobytes().hex()]))
+    return "\n".join(lines)
 
 
 def _runs(seed: int):
@@ -58,6 +82,7 @@ def _runs(seed: int):
     api = SimpleNamespace(experiments=experiments)
     yield "classify", "".join(_command(["classify", x, y])
                               for x, y in replay_planes(api, seed))
+    yield "canonicalize", _canonicalize(seed)
 
 
 def main() -> None:

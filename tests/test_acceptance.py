@@ -27,6 +27,7 @@ from sp2curv import (
     verify_theorem1,
     verify_wilking,
 )
+from sp2curv import experiments
 from sp2curv.cli import main
 
 from conftest import element
@@ -76,7 +77,8 @@ def test_criterion_2_special_pair_exact_values():
 
 
 def test_criterion_3_jet_vanishing_on_commuting_planes():
-    rep = run_lemma0_suite(SEED, 10000, deformations=100, tol=1e-10)
+    assert experiments._LEMMA0_TOL == 1e-10  # the suite's own pass bound
+    rep = run_lemma0_suite(SEED, 10000, deformations=100)
     ok = (rep.passed and rep.max_abs_c0 <= 1e-10 and rep.max_abs_c1 <= 1e-10
           and rep.min_c2 >= -1e-10 and rep.max_closed_form_gap <= 1e-10
           and rep.elapsed_seconds < 60.0)
@@ -134,7 +136,8 @@ def test_criterion_6_nonpositive_plane_for_every_metric():
 
 
 def test_criterion_7_flat_baseline():
-    rep = run_baseline_suite(SEED, 10000, tol=1e-12)
+    assert experiments._BASELINE_TOL == 1e-12  # the suite's own pass bound
+    rep = run_baseline_suite(SEED, 10000)
     ok = (rep.passed and rep.min_k >= -1e-12
           and rep.max_commuting_k <= 1e-12)
     assert report(

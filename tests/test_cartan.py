@@ -19,7 +19,7 @@ from sp2curv import (
     sample_commuting_plane,
     special_orbit_distance,
 )
-from sp2curv.algebra import _bracket_rows
+from sp2curv.algebra import _ad_h_rows, _bracket_rows
 from sp2curv.cartan import SPECIAL_ORBIT_TOL, _canonical_rows
 
 from conftest import bits, element, near_orbit_plane
@@ -206,8 +206,9 @@ def test_canonicalize_rejects_bad_input():
 
 
 # Reductions per 100 near_orbit_plane draws with rng [77, k] at
-# delta = 10^-(k + 2), k = 0..5: the floor the reduction holds today.
-NEAR_ORBIT_FLOOR = (100, 100, 95, 22, 2, 16)
+# delta = 10^-(k + 2), k = 0..5: every one (100/100/95/22/2/16 while the
+# guard on the F4 scale was absolute).
+NEAR_ORBIT_FLOOR = (100, 100, 100, 100, 100, 100)
 
 
 def test_near_orbit_reduction_floor():
@@ -226,6 +227,46 @@ def test_near_orbit_reduction_floor():
             assert np.abs([rx.data - x, ry.data - y]).max() <= 1e-8 * scale
             reduced += 1
         assert reduced >= floor, (k, reduced)
+
+
+def _extreme_canonical_pairs():
+    """F1, F2 with w = 0, F3 with |p| from 1e-9 to 1, and F4 with |p| from
+    1e-9 to 1e4 and |mu| from 1e-10 to 1e8, both signs."""
+    u, p_dir = [0.6, 0.0, 0.8], np.array([0.0, 1.0, 0.0])
+    yield "F1", {"v": u, "w": p_dir}
+    yield "F2", {"u": u, "w": [0.0] * 3}
+    for p in 10.0 ** np.arange(-9, 5):
+        if p <= 1.0:
+            yield "F3", {"u": u, "p": p * p_dir}
+        for mu in 10.0 ** np.arange(-10, 9):
+            for sign in (1.0, -1.0):
+                yield "F4", {"u": u, "p": p * p_dir, "mu": sign * mu}
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_canonical_pairs_reconstruct_or_raise_a_reduction_error():
+    # Exact, rotated and mixed: a guard only keeps the arithmetic defined
+    # or the form canonical, so no ZeroDivisionError, no LinAlgError (a
+    # ValueError) and no numpy warning; the reconstruction decides.
+    rng = np.random.default_rng(31)
+    named = set()
+    for family, params in _extreme_canonical_pairs():
+        rows = np.array(_canonical_rows(family, params), dtype=float)
+        turned = np.array(_ad_h_rows(math.pi * rng.random(), rows.tolist()))
+        for pair in (rows, turned, rng.normal(size=(2, 2)) @ turned):
+            try:
+                cls = canonicalize(*map(SpElement.from_array, pair))
+            except CanonicalizationError:
+                continue
+            except ValueError as exc:  # TangentPlane's admission only
+                assert str(exc).startswith("plane vectors"), exc
+                continue
+            rx, ry = cls.reconstruct()
+            scale = max(1.0, np.abs(pair).max())
+            err = np.abs([rx.data - pair[0], ry.data - pair[1]]).max()
+            assert err <= 1e-8 * scale
+            named.add(cls.family)
+    assert named == set(FAMILIES)
 
 
 # ---- the distinguished orbit ----

@@ -12,6 +12,7 @@ import pytest
 
 import sp2curv
 from sp2curv import (
+    CanonicalizationError,
     DeformedMetric,
     SpElement,
     TangentPlane,
@@ -387,13 +388,17 @@ def test_classify_rejects_unparseable_reals(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e999"])
+@pytest.mark.parametrize("entry",
+                         ["nan", "inf", "-Infinity", "1e999", "-inf", "-NaN"])
 def test_classify_rejects_non_finite_entries(capsys, entry):
-    # A NaN entry read as a number failed later as "do not commute".
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "0," + entry + ",0,0,0,0,0,0,0", "0,0,0,1,0,0,0,0,0"])
-    assert exc.value.code == 2
-    assert f"not a finite number: {entry!r}" in capsys.readouterr().err
+    # A NaN entry read as a number failed later as "do not commute"; a
+    # leading "-inf" was read as an option, and y was then reported missing.
+    for argv in (["0," + entry + ",0,0,0,0,0,0,0", "0,0,0,1,0,0,0,0,0"],
+                 [entry + ",0,0,0,1,0,0,0,0,0", T0_Y]):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *argv])
+        assert exc.value.code == 2
+        assert f"not a finite number: {entry!r}" in capsys.readouterr().err
 
 
 def test_python_m_sp2curv_cli_runs_main():
@@ -494,9 +499,13 @@ def test_theorem1_argmin_plane_replays_through_classify(capsys):
 # ---- classify near the orbit ----
 
 
-def test_classify_reports_the_jet_verdict_where_canonicalize_fails(capsys):
-    # canonicalize fails on 10 of these 24 planes, none of them above 1e-4.
-    failed = 0
+def _fail_reduction(x, y):
+    raise CanonicalizationError("reduction failed: injected")
+
+
+def test_classify_names_every_plane_near_the_orbit(capsys, monkeypatch):
+    # 10 of these 24 planes failed to reduce while the guard on the F4
+    # scale was absolute (|sigma| > 1e-10); each must now reconstruct.
     for k, delta in enumerate([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]):
         rng = np.random.default_rng([5, k])
         for _ in range(4):
@@ -507,19 +516,23 @@ def test_classify_reports_the_jet_verdict_where_canonicalize_fails(capsys):
             assert code == (1 if results["classification"] == "VIOLATION"
                             else 0)
             assert len(results["jet"]) == 5
-            if results["family"] is None:
-                failed += 1
-                assert results["canonicalization_error"]
-                assert all(results[key] is None for key in (
-                    "parameters", "canonical_x", "canonical_y",
-                    "witness_angle", "witness_matrix"))
-                continue
+            assert "canonicalization_error" not in results
             rows = _ad_h_arr(results["witness_angle"], np.array(
                 results["witness_matrix"]) @ np.array(
                     [results["canonical_x"], results["canonical_y"]]))
             scale = max(1.0, np.abs([x, y]).max())
             assert np.abs(rows - [x, y]).max() <= 1e-8 * scale
-    assert failed >= 5
+
+    # A plane the reduction cannot name keeps its jet verdict.
+    monkeypatch.setattr(cli, "canonicalize", _fail_reduction)
+    code, payload = run_json(capsys, argv)
+    results = payload["results"]
+    assert code == (1 if results["classification"] == "VIOLATION" else 0)
+    assert len(results["jet"]) == 5
+    assert results["canonicalization_error"] == "reduction failed: injected"
+    assert all(results[key] is None for key in (
+        "family", "parameters", "canonical_x", "canonical_y",
+        "witness_angle", "witness_matrix"))
 
 
 # ---- the JSON render ----
@@ -560,8 +573,11 @@ def test_render_json_writes_the_bytes_of_the_plain_walk(monkeypatch, capsys):
         ["theorem1", "--samples", "20", "--seed", "3"],
         ["wilking", "--samples", "20"],
         ["classify", T0_X, T0_Y],
-        ["classify", cli._classify_arg(x), cli._classify_arg(y)],
     ) for p in _payloads(monkeypatch, capsys, argv)]
+    with pytest.MonkeyPatch.context() as patch:  # null canonical fields
+        patch.setattr(cli, "canonicalize", _fail_reduction)
+        payloads += _payloads(monkeypatch, capsys, [
+            "classify", cli._classify_arg(x), cli._classify_arg(y)])
     assert len(payloads) == 6
     assert payloads[1]["summary"]["special_abs_c2"] is None
     assert any(np.isnan(f["min_k"]) for f in payloads[2]["results"]["frontier"])

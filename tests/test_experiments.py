@@ -677,6 +677,21 @@ def test_suites_orthonormalize_rows_as_tangent_plane_does(seed, monkeypatch):
             np.testing.assert_array_equal(bits(y), want_y)
 
 
+def test_baseline_rejects_an_exactly_dependent_draw(monkeypatch):
+    # Measured unchecked, y = -2x gave the plane of x and rounding noise.
+    v = np.random.default_rng(3).normal(size=9)
+    draws = iter([v, -2.0 * v])
+
+    class Scripted:
+        def normal(self, size):
+            assert size == 9
+            return next(draws)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda key: Scripted())
+    with pytest.raises(ValueError, match="linearly dependent"):
+        run_baseline_suite(0, 1)
+
+
 def test_baseline_fails_on_nan_curvature(monkeypatch):
     _nan_at_row_3(monkeypatch)
     report = run_baseline_suite(7, 40)

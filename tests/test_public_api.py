@@ -50,10 +50,8 @@ def _defaulted_parameters() -> list:
 OPTIONS = [
     "classify_plane.orbit_tol",
     "run_baseline_suite.samples",
-    "run_baseline_suite.tol",
     "run_lemma0_suite.samples",
     "run_lemma0_suite.deformations",
-    "run_lemma0_suite.tol",
     "run_oracle_suite.samples",
     "run_oracle_suite.tol",
     "run_oracle_suite.bracket_fn",
